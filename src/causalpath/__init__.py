@@ -1,9 +1,11 @@
-"""Causal discovery and SEM path analysis for tabular data.
+"""Causal discovery for tabular survey data.
 
-Discovers causal graphs with PC, FCI, FGES and DirectLiNGAM under
-domain-knowledge constraints, fits linear path models to each graph by
-unweighted least squares on a correlation matrix, scores them with the
-standard fit-index suite, and selects the best-fitting model.
+Reads and cleans survey CSV files, estimates Pearson, Spearman or polychoric
+correlations, and learns causal graphs with PC, FCI, FGES and DirectLiNGAM
+under domain knowledge (tiers, forbidden and required edges). Graphs are
+`MixedGraph` objects with endpoint marks, covering DAGs, CPDAGs and PAGs.
+Fitting path models to the graphs and selecting among them is not part of
+the package yet.
 """
 
 from .graph import (

@@ -3,17 +3,14 @@ normalization, the order-independent skeleton phase, and knowledge-aware
 orientation helpers."""
 from __future__ import annotations
 
-import logging
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from ..data import CorrelationMatrix, Dataset, pearson_matrix
-from ..graph import ARROW, TAIL, MixedGraph, apply_meek_rules
+from ..graph import TAIL, MixedGraph, report
 from ..independence import FisherZTest
 from ..score import BicScorer
-
-logger = logging.getLogger(__name__)
 
 
 class DiscoveryError(ValueError):
@@ -26,7 +23,6 @@ class DiscoveryConfig:
     max_cond_size: int | None = None
     penalty_discount: float = 1.0
     prune_threshold: float = 0.01
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -35,13 +31,7 @@ class DiscoveryConfig:
             raise DiscoveryError("penalty_discount must be positive")
 
     def to_json_dict(self):
-        return {
-            "alpha": self.alpha,
-            "max_cond_size": self.max_cond_size,
-            "penalty_discount": self.penalty_discount,
-            "prune_threshold": self.prune_threshold,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def as_citester(source, cfg):
@@ -93,17 +83,24 @@ def stable_skeleton(tester, cfg, bk):
                 if len(candidates) < depth:
                     continue
                 enough = True
-                for zs in combinations(candidates, depth):
-                    if tester(x, y, zs).independent:
-                        g.remove_edge(x, y)
-                        sepsets[frozenset((x, y))] = set(zs)
-                        break
+                separate(g, tester, x, y, combinations(candidates, depth), sepsets)
         depth += 1
         if not enough:
             break
         if cfg.max_cond_size is not None and depth > cfg.max_cond_size:
             break
     return g, sepsets
+
+
+def separate(g, tester, x, y, sets, sepsets):
+    """Remove the edge x-y at the first conditioning set in `sets` that makes
+    x and y independent, and record that set; True iff one did."""
+    for zs in sets:
+        if tester(x, y, zs).independent:
+            g.remove_edge(x, y)
+            sepsets[frozenset((x, y))] = set(zs)
+            return True
+    return False
 
 
 def orient_by_knowledge(g, bk, conflicts):
@@ -124,39 +121,36 @@ def orient_by_knowledge(g, bk, conflicts):
         elif req_ba:
             g.orient(b, a)
         elif forb_ab and forb_ba:
-            msg = f"edge {a}-{b} is forbidden in both directions but survived the tests"
-            conflicts.append(msg)
-            logger.warning(msg)
+            report(conflicts, f"edge {a}-{b} is forbidden in both directions "
+                              "but survived the tests")
         elif forb_ab:
             g.orient(b, a)
         elif forb_ba:
             g.orient(a, b)
 
 
-def orient_colliders(g, sepsets, bk, conflicts):
-    """Orient unshielded triples x - z - y with z outside sepset(x, y) as
-    x -> z <- y, one arrowhead at a time under knowledge/conflict guards."""
+def collider_triples(g, sepsets):
+    """Unshielded triples (x, z, y), x - z - y with x and y nonadjacent, whose
+    recorded separating set of x and y leaves out z."""
     for z in sorted(g.nodes):
-        nbrs = g.adjacent(z)
-        for x, y in combinations(nbrs, 2):
-            if g.has_edge(x, y):
-                continue
+        for x, y in combinations(g.adjacent(z), 2):
             key = frozenset((x, y))
-            if key not in sepsets or z in sepsets[key]:
+            if not g.has_edge(x, y) and key in sepsets and z not in sepsets[key]:
+                yield x, z, y
+
+
+def orient_colliders(g, sepsets, bk, conflicts):
+    """Orient each collider triple x - z - y as x -> z <- y, one arrowhead at
+    a time under knowledge/conflict guards."""
+    for x, z, y in collider_triples(g, sepsets):
+        for u in (x, y):
+            if g.is_directed(u, z):
                 continue
-            for u in (x, y):
-                if g.is_directed(u, z):
-                    continue
-                if g.is_directed(z, u):
-                    msg = f"collider {x}->{z}<-{y}: conflicts with existing {z}->{u}"
-                    conflicts.append(msg)
-                    logger.warning(msg)
-                    continue
-                if bk.is_forbidden(u, z):
-                    msg = f"collider arrowhead {u}->{z} forbidden by knowledge; skipped"
-                    conflicts.append(msg)
-                    logger.warning(msg)
-                    continue
+            if g.is_directed(z, u):
+                report(conflicts, f"collider {x}->{z}<-{y}: conflicts with existing {z}->{u}")
+            elif bk.is_forbidden(u, z):
+                report(conflicts, f"collider arrowhead {u}->{z} forbidden by knowledge; skipped")
+            else:
                 g.orient(u, z)
 
 
@@ -176,9 +170,3 @@ def finish_record(record, algorithm, cfg, bk, graph, started, **extra):
     })
     record.update(extra)
     return record
-
-
-def meek_close(g, bk, conflicts):
-    out = apply_meek_rules(g, None if bk.is_empty() else bk, conflicts)
-    out.kind = "cpdag"
-    return out

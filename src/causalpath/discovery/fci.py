@@ -9,14 +9,12 @@ and tail rules) are intentionally out of scope and noted in run records.
 """
 from __future__ import annotations
 
-import logging
 import time
-from itertools import combinations
+from itertools import chain, combinations
 
-from ..graph import ARROW, CIRCLE, TAIL, MixedGraph, _bk
-from .common import DiscoveryConfig, as_citester, finish_record, stable_skeleton
-
-logger = logging.getLogger(__name__)
+from ..graph import ARROW, CIRCLE, TAIL, MixedGraph, _bk, report
+from .common import (DiscoveryConfig, as_citester, collider_triples, finish_record, separate,
+                     stable_skeleton)
 
 
 def _circle_graph(skeleton):
@@ -32,12 +30,17 @@ def _set_mark(pag, node, other, mark, conflicts, reason):
     if cur == mark:
         return False
     if cur != CIRCLE:
-        msg = f"{reason}: endpoint {node} on {node}-{other} already {cur}; skipped"
-        conflicts.append(msg)
-        logger.warning(msg)
+        report(conflicts, f"{reason}: endpoint {node} on {node}-{other} already {cur}; skipped")
         return False
     pag.set_mark(node, other, mark)
     return True
+
+
+def _orient_directed(pag, a, b, conflicts, reason):
+    """Set a tail at a and an arrowhead at b; True if either mark changed."""
+    tail = _set_mark(pag, a, b, TAIL, conflicts, reason)
+    arrow = _set_mark(pag, b, a, ARROW, conflicts, reason)
+    return tail or arrow
 
 
 def _orient_bk(pag, bk, conflicts):
@@ -46,8 +49,7 @@ def _orient_bk(pag, bk, conflicts):
     for a, b, _, _ in pag.edges():
         for u, v in ((a, b), (b, a)):
             if bk.is_required(u, v):
-                _set_mark(pag, u, v, TAIL, conflicts, "knowledge-required")
-                _set_mark(pag, v, u, ARROW, conflicts, "knowledge-required")
+                _orient_directed(pag, u, v, conflicts, "knowledge-required")
         for u, v in ((a, b), (b, a)):
             # u may not cause v: arrowhead at u says u is no ancestor of v
             if bk.is_forbidden(u, v) and not bk.is_required(v, u):
@@ -55,15 +57,9 @@ def _orient_bk(pag, bk, conflicts):
 
 
 def _orient_colliders(pag, sepsets, conflicts):
-    for z in sorted(pag.nodes):
-        for x, y in combinations(pag.adjacent(z), 2):
-            if pag.has_edge(x, y):
-                continue
-            key = frozenset((x, y))
-            if key not in sepsets or z in sepsets[key]:
-                continue
-            _set_mark(pag, z, x, ARROW, conflicts, "collider")
-            _set_mark(pag, z, y, ARROW, conflicts, "collider")
+    for x, z, y in collider_triples(pag, sepsets):
+        _set_mark(pag, z, x, ARROW, conflicts, "collider")
+        _set_mark(pag, z, y, ARROW, conflicts, "collider")
 
 
 def possible_d_sep(pag, x):
@@ -97,26 +93,17 @@ def _pds_prune(pag, tester, cfg, bk, sepsets):
             continue
         if bk.is_required(a, b) or bk.is_required(b, a):
             continue
-        separated = False
         for x, y in ((a, b), (b, a)):
             pds = sorted(possible_d_sep(pag, x) - {x, y})
             limit = len(pds) if cfg.max_cond_size is None else min(len(pds), cfg.max_cond_size)
-            for size in range(1, limit + 1):
-                for zs in combinations(pds, size):
-                    if tester(x, y, zs).independent:
-                        pag.remove_edge(x, y)
-                        sepsets[frozenset((x, y))] = set(zs)
-                        separated = True
-                        removed += 1
-                        break
-                if separated:
-                    break
-            if separated:
+            sets = chain.from_iterable(combinations(pds, k) for k in range(1, limit + 1))
+            if separate(pag, tester, x, y, sets, sepsets):
+                removed += 1
                 break
     return removed
 
 
-def _rule1(pag, conflicts, bk):
+def _rule1(pag, conflicts):
     changed = False
     for b in sorted(pag.nodes):
         for a in pag.adjacent(b):
@@ -126,16 +113,11 @@ def _rule1(pag, conflicts, bk):
                 if c == a or pag.has_edge(a, c):
                     continue
                 if pag.mark_at(b, c) == CIRCLE:
-                    if bk.is_forbidden(b, c):
-                        conflicts.append(f"rule1: {b}->{c} forbidden; skipped")
-                        continue
-                    ch1 = _set_mark(pag, b, c, TAIL, conflicts, "rule1")
-                    ch2 = _set_mark(pag, c, b, ARROW, conflicts, "rule1")
-                    changed |= ch1 or ch2
+                    changed |= _orient_directed(pag, b, c, conflicts, "rule1")
     return changed
 
 
-def _rule2(pag, conflicts, bk):
+def _rule2(pag, conflicts):
     changed = False
     for a in sorted(pag.nodes):
         for c in pag.adjacent(a):
@@ -153,7 +135,7 @@ def _rule2(pag, conflicts, bk):
     return changed
 
 
-def _rule3(pag, conflicts, bk):
+def _rule3(pag, conflicts):
     changed = False
     for b in sorted(pag.nodes):
         into_b = [u for u in pag.adjacent(b) if pag.mark_at(b, u) == ARROW]
@@ -195,7 +177,7 @@ def _discriminating_tail(pag, a, b, c):
     return None
 
 
-def _rule4(pag, sepsets, conflicts, bk):
+def _rule4(pag, sepsets, conflicts):
     changed = False
     for c in sorted(pag.nodes):
         for b in pag.adjacent(c):
@@ -213,12 +195,7 @@ def _rule4(pag, sepsets, conflicts, bk):
                     continue
                 key = frozenset((d, c))
                 if b in sepsets.get(key, set()):
-                    if bk.is_forbidden(b, c):
-                        conflicts.append(f"rule4: {b}->{c} forbidden; skipped")
-                        continue
-                    ch1 = _set_mark(pag, b, c, TAIL, conflicts, "rule4")
-                    ch2 = _set_mark(pag, c, b, ARROW, conflicts, "rule4")
-                    changed |= ch1 or ch2
+                    changed |= _orient_directed(pag, b, c, conflicts, "rule4")
                 else:
                     ch1 = _set_mark(pag, b, a, ARROW, conflicts, "rule4")
                     ch2 = _set_mark(pag, b, c, ARROW, conflicts, "rule4")
@@ -250,10 +227,10 @@ def fci(source, cfg=None, bk=None, record=None):
     changed = True
     while changed:
         changed = False
-        changed |= _rule1(pag, conflicts, bk)
-        changed |= _rule2(pag, conflicts, bk)
-        changed |= _rule3(pag, conflicts, bk)
-        changed |= _rule4(pag, sepsets, conflicts, bk)
+        changed |= _rule1(pag, conflicts)
+        changed |= _rule2(pag, conflicts)
+        changed |= _rule3(pag, conflicts)
+        changed |= _rule4(pag, sepsets, conflicts)
 
     finish_record(record, "fci", cfg, bk, pag, started,
                   ci_tests=getattr(tester, "calls", None),

@@ -15,9 +15,10 @@ import logging
 import time
 from itertools import combinations
 
-from ..graph import MixedGraph, NoExtensionError, consistent_extension, cpdag_of, _bk
+from ..graph import (MixedGraph, NoExtensionError, _bk, apply_meek_rules,
+                     consistent_extension, cpdag_of)
 from ..score import ScoreError
-from .common import DiscoveryConfig, as_scorer, finish_record, meek_close, orient_by_knowledge
+from .common import DiscoveryConfig, as_scorer, finish_record, orient_by_knowledge
 
 logger = logging.getLogger(__name__)
 
@@ -52,7 +53,7 @@ def _rebuild(g, bk, conflicts):
     c = cpdag_of(dag)
     if not bk.is_empty():
         orient_by_knowledge(c, bk, conflicts)
-        c = meek_close(c, bk, conflicts)
+        c = apply_meek_rules(c, bk, conflicts)
     return c
 
 

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import time
 
-from ..graph import _bk
+from ..graph import _bk, apply_meek_rules
 from .common import (
     DiscoveryConfig,
     as_citester,
     finish_record,
-    meek_close,
     orient_by_knowledge,
     orient_colliders,
     stable_skeleton,
@@ -36,7 +35,7 @@ def pc(source, cfg=None, bk=None, record=None):
     conflicts = []
     orient_by_knowledge(g, bk, conflicts)
     orient_colliders(g, sepsets, bk, conflicts)
-    g = meek_close(g, bk, conflicts)
+    g = apply_meek_rules(g, bk, conflicts)
 
     finish_record(record, "pc", cfg, bk, g, started,
                   ci_tests=getattr(tester, "calls", None),

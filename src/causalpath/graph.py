@@ -1,8 +1,8 @@
 """Mixed causal graphs with endpoint marks.
 
 A single graph class covers DAGs, CPDAGs (equivalence classes), PAGs and
-weighted DAGs. Every edge is stored once per unordered pair with one mark
-("tail", "arrow" or "circle") at each endpoint:
+weighted DAGs. A pair of nodes has at most one edge, with one mark ("tail",
+"arrow" or "circle") at each endpoint:
 
     a -> b      tail at a, arrow at b
     a -- b      tail at both ends (undirected)
@@ -14,6 +14,7 @@ state, so graphs can be used concurrently once built.
 """
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 from itertools import combinations
@@ -56,16 +57,14 @@ class MixedGraph:
             raise GraphError(f"unknown graph kind {kind!r}")
         self.nodes = nodes
         self.kind = kind
-        self._node_set = set(nodes)
-        # pair (a,b) with a < b -> [mark_at_a, mark_at_b]
-        self._edges: dict[tuple, list] = {}
+        # _end[v][u]: the mark at v's end of the edge v-u
+        self._end: dict[str, dict] = {v: {} for v in nodes}
         self._weights: dict[tuple, float] = {}
-        self._nbrs: dict[str, set] = {v: set() for v in nodes}
 
     # -- construction ---------------------------------------------------
 
     def _check_node(self, v):
-        if v not in self._node_set:
+        if v not in self._end:
             raise GraphError(f"unknown node {v!r}")
 
     def add_edge(self, a, b, mark_a=TAIL, mark_b=ARROW, weight=None):
@@ -75,15 +74,12 @@ class MixedGraph:
             raise GraphError(f"self loop at {a!r}")
         if mark_a not in MARKS or mark_b not in MARKS:
             raise GraphError(f"bad marks ({mark_a!r}, {mark_b!r})")
-        key = _pair(a, b)
-        if key in self._edges:
+        if b in self._end[a]:
             raise GraphError(f"edge {a!r}-{b!r} already present")
-        marks = [mark_a, mark_b] if key == (a, b) else [mark_b, mark_a]
-        self._edges[key] = marks
-        self._nbrs[a].add(b)
-        self._nbrs[b].add(a)
+        self._end[a][b] = mark_a
+        self._end[b][a] = mark_b
         if weight is not None:
-            self._weights[key] = float(weight)
+            self._weights[_pair(a, b)] = float(weight)
 
     def add_directed(self, a, b, weight=None):
         self.add_edge(a, b, TAIL, ARROW, weight)
@@ -95,70 +91,71 @@ class MixedGraph:
         self.add_edge(a, b, ARROW, ARROW)
 
     def remove_edge(self, a, b):
-        key = _pair(a, b)
-        if key not in self._edges:
+        if not self.has_edge(a, b):
             raise GraphError(f"no edge {a!r}-{b!r}")
-        del self._edges[key]
-        self._weights.pop(key, None)
-        self._nbrs[a].discard(b)
-        self._nbrs[b].discard(a)
+        del self._end[a][b]
+        del self._end[b][a]
+        self._weights.pop(_pair(a, b), None)
 
     # -- queries ---------------------------------------------------------
 
     def has_edge(self, a, b):
-        return _pair(a, b) in self._edges
+        return b in self._end.get(a, ())
 
     def mark_at(self, node, other):
         """Mark at `node`'s end of the edge between node and other."""
-        key = _pair(node, other)
-        marks = self._edges.get(key)
-        if marks is None:
-            raise GraphError(f"no edge {node!r}-{other!r}")
-        return marks[0] if key[0] == node else marks[1]
+        try:
+            return self._end[node][other]
+        except KeyError:
+            raise GraphError(f"no edge {node!r}-{other!r}") from None
 
     def set_mark(self, node, other, mark):
         if mark not in MARKS:
             raise GraphError(f"bad mark {mark!r}")
-        key = _pair(node, other)
-        marks = self._edges.get(key)
-        if marks is None:
+        if not self.has_edge(node, other):
             raise GraphError(f"no edge {node!r}-{other!r}")
-        marks[0 if key[0] == node else 1] = mark
+        self._end[node][other] = mark
 
     def orient(self, a, b):
         """Turn the existing a-b edge into a -> b."""
         self.set_mark(a, b, TAIL)
         self.set_mark(b, a, ARROW)
 
+    def _has_marks(self, a, b, mark_a, mark_b):
+        return self._end.get(a, {}).get(b) == mark_a and self._end[b][a] == mark_b
+
     def is_directed(self, a, b):
-        return self.has_edge(a, b) and self.mark_at(a, b) == TAIL and self.mark_at(b, a) == ARROW
+        return self._has_marks(a, b, TAIL, ARROW)
 
     def is_undirected(self, a, b):
-        return self.has_edge(a, b) and self.mark_at(a, b) == TAIL and self.mark_at(b, a) == TAIL
+        return self._has_marks(a, b, TAIL, TAIL)
 
     def is_bidirected(self, a, b):
-        return self.has_edge(a, b) and self.mark_at(a, b) == ARROW and self.mark_at(b, a) == ARROW
+        return self._has_marks(a, b, ARROW, ARROW)
 
     def adjacent(self, v):
         self._check_node(v)
-        return sorted(self._nbrs[v])
+        return sorted(self._end[v])
+
+    def _neighbors(self, v, mark_v, mark_u):
+        """Sorted neighbors u of v with mark_v at v's end and mark_u at u's."""
+        self._check_node(v)
+        return sorted(u for u, m in self._end[v].items()
+                      if m == mark_v and self._end[u][v] == mark_u)
 
     def parents(self, v):
-        return [u for u in self.adjacent(v) if self.is_directed(u, v)]
+        return self._neighbors(v, ARROW, TAIL)
 
     def children(self, v):
-        return [u for u in self.adjacent(v) if self.is_directed(v, u)]
+        return self._neighbors(v, TAIL, ARROW)
 
     def undirected_neighbors(self, v):
-        return [u for u in self.adjacent(v) if self.is_undirected(v, u)]
+        return self._neighbors(v, TAIL, TAIL)
 
     def edges(self):
         """Sorted list of (a, b, mark_at_a, mark_at_b) with a < b."""
-        out = []
-        for key in sorted(self._edges):
-            m = self._edges[key]
-            out.append((key[0], key[1], m[0], m[1]))
-        return out
+        return sorted((a, b, ma, self._end[b][a])
+                      for a, ends in self._end.items() for b, ma in ends.items() if a < b)
 
     def directed_edges(self):
         out = []
@@ -171,7 +168,7 @@ class MixedGraph:
 
     @property
     def edge_count(self):
-        return len(self._edges)
+        return sum(map(len, self._end.values())) // 2
 
     def weight(self, a, b):
         key = _pair(a, b)
@@ -180,69 +177,42 @@ class MixedGraph:
         return self._weights[key]
 
     def set_weight(self, a, b, w):
-        key = _pair(a, b)
-        if key not in self._edges:
+        if not self.has_edge(a, b):
             raise GraphError(f"no edge {a!r}-{b!r}")
-        self._weights[key] = float(w)
+        self._weights[_pair(a, b)] = float(w)
 
-    def weights(self):
-        """Dict mapping directed (parent, child) pairs to weights."""
-        out = {}
-        for a, b in self.directed_edges():
-            key = _pair(a, b)
-            if key in self._weights:
-                out[(a, b)] = self._weights[key]
-        return out
+    def _reach(self, v, step):
+        seen = set()
+        stack = list(step(v))
+        while stack:
+            u = stack.pop()
+            if u not in seen:
+                seen.add(u)
+                stack.extend(step(u))
+        return seen
 
     def ancestors(self, v):
         """All u with a directed path u -> ... -> v (v excluded)."""
-        seen = set()
-        stack = list(self.parents(v))
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(self.parents(u))
-        return seen
+        return self._reach(v, self.parents)
 
     def descendants(self, v):
-        seen = set()
-        stack = list(self.children(v))
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(self.children(u))
-        return seen
+        return self._reach(v, self.children)
 
     # -- plumbing ----------------------------------------------------------
 
     def copy(self, kind=None):
         g = MixedGraph(self.nodes, kind or self.kind)
-        g._edges = {k: list(v) for k, v in self._edges.items()}
+        g._end = {v: dict(ends) for v, ends in self._end.items()}
         g._weights = dict(self._weights)
-        g._nbrs = {v: set(s) for v, s in self._nbrs.items()}
         return g
 
     def __eq__(self, other):
         if not isinstance(other, MixedGraph):
             return NotImplemented
-        return (
-            self._node_set == other._node_set
-            and {k: tuple(v) for k, v in self._edges.items()}
-            == {k: tuple(v) for k, v in other._edges.items()}
-            and self._weights == other._weights
-        )
+        return self._end == other._end and self._weights == other._weights
 
     def __hash__(self):
-        return hash(
-            (
-                frozenset(self._node_set),
-                frozenset((k, tuple(v)) for k, v in self._edges.items()),
-            )
-        )
+        return hash(frozenset((v, frozenset(ends.items())) for v, ends in self._end.items()))
 
     def __repr__(self):
         arrow = {(TAIL, ARROW): "->", (ARROW, TAIL): "<-", (TAIL, TAIL): "--",
@@ -293,20 +263,25 @@ class MixedGraph:
         return self
 
 
-def _has_directed_cycle(g):
-    indeg = {v: 0 for v in g.nodes}
-    for _, b in g.directed_edges():
-        indeg[b] += 1
-    queue = [v for v in g.nodes if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
+def _topological_order(g):
+    """Kahn's sort over the directed edges, smallest ready node first. Nodes
+    on or downstream of a directed cycle are left out."""
+    indeg = {v: len(g.parents(v)) for v in g.nodes}
+    ready = [v for v in g.nodes if indeg[v] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
         for c in g.children(v):
             indeg[c] -= 1
             if indeg[c] == 0:
-                queue.append(c)
-    return seen < len(g.nodes)
+                heapq.heappush(ready, c)
+    return order
+
+
+def _has_directed_cycle(g):
+    return len(_topological_order(g)) < len(g.nodes)
 
 
 def is_dag(g):
@@ -451,21 +426,22 @@ def _would_cycle(g, a, b):
     return a == b or a in g.descendants(b)
 
 
+def report(conflicts, msg):
+    """Record a skipped orientation in `conflicts` (if a list) and the log."""
+    if conflicts is not None:
+        conflicts.append(msg)
+    logger.warning(msg)
+
+
 def _try_orient(g, a, b, bk, conflicts, reason):
     """Orient a -> b if knowledge and acyclicity allow it; report otherwise."""
     if g.is_directed(a, b):
         return False
     if bk.is_forbidden(a, b):
-        msg = f"{reason}: orientation {a}->{b} forbidden by knowledge; skipped"
-        if conflicts is not None:
-            conflicts.append(msg)
-        logger.warning(msg)
+        report(conflicts, f"{reason}: orientation {a}->{b} forbidden by knowledge; skipped")
         return False
     if _would_cycle(g, a, b):
-        msg = f"{reason}: orientation {a}->{b} would create a cycle; skipped"
-        if conflicts is not None:
-            conflicts.append(msg)
-        logger.warning(msg)
+        report(conflicts, f"{reason}: orientation {a}->{b} would create a cycle; skipped")
         return False
     g.orient(a, b)
     return True
@@ -539,9 +515,7 @@ def cpdag_of(g):
             if not g.has_edge(x, y):
                 c.orient(x, v)
                 c.orient(y, v)
-    c = apply_meek_rules(c)
-    c.kind = "cpdag"
-    return c
+    return apply_meek_rules(c)
 
 
 def consistent_extension(g):
@@ -573,7 +547,6 @@ def consistent_extension(g):
             if u in remaining:
                 out.orient(u, sink)
         remaining.remove(sink)
-    out.kind = "dag"
     out.validate()
     return out
 
@@ -619,7 +592,7 @@ def knowledge_violations(g, bk):
         if bk.is_forbidden(a, b):
             out.append(f"forbidden edge {a}->{b} present")
     for a, b in sorted(bk.required):
-        if a not in g._node_set or b not in g._node_set:
+        if a not in g._end or b not in g._end:
             continue
         if not g.has_edge(a, b):
             out.append(f"required edge {a}->{b} missing")

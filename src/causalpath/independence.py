@@ -54,7 +54,8 @@ class CiTestResult:
 
 def partial_correlation(c, x, y, z=()):
     """Partial correlation of x and y given z via the precision matrix of the
-    (z + {x, y}) submatrix of the correlation matrix c."""
+    (z + {x, y}) submatrix of the correlation matrix c; NaN when that
+    submatrix is indefinite and gives x or y a negative residual variance."""
     z = list(z)
     if x in z or y in z or x == y:
         raise IndependenceError("x, y must be distinct and disjoint from z")
@@ -66,7 +67,10 @@ def partial_correlation(c, x, y, z=()):
         prec = np.linalg.inv(sub)
     except np.linalg.LinAlgError:
         raise SingularConditioningError(x, y, z) from None
-    return float(-prec[0, 1] / np.sqrt(prec[0, 0] * prec[1, 1]))
+    scale = prec[0, 0] * prec[1, 1]
+    if scale <= 0.0:
+        return float("nan")
+    return float(-prec[0, 1] / np.sqrt(scale))
 
 
 class FisherZTest:
@@ -91,6 +95,10 @@ class FisherZTest:
             logger.warning("fisher-z: near-singular conditioning set %s for (%s, %s); "
                            "treated as dependent", sorted(z), x, y)
             return CiTestResult(np.inf, 0.0, len(z), False, note="near-singular")
+        if np.isnan(r):
+            logger.warning("fisher-z: indefinite correlation submatrix for (%s, %s | %s); "
+                           "treated as dependent", x, y, sorted(z))
+            return CiTestResult(np.nan, np.nan, len(z), False, note="indefinite")
         if abs(r) >= 1.0:
             return CiTestResult(np.inf, 0.0, len(z), False, note="saturated")
         stat = np.sqrt(n - len(z) - 3) * np.arctanh(r)

@@ -1,4 +1,4 @@
-"""Synthetic linear SCMs: generation, sampling, and exhaustive search oracles.
+"""Synthetic linear SCMs: generation, sampling and discretization.
 
 All randomness flows from explicit seeds carried by the spec objects; the
 same spec and row count always reproduce the identical matrix.
@@ -7,13 +7,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, product
-
 import numpy as np
 
-from .data import Dataset, VariableSchema, pearson_matrix
-from .graph import MixedGraph, is_dag
-from .score import BicScorer
+from .data import Dataset, VariableSchema
+from .graph import MixedGraph, _topological_order, is_dag
 
 NOISE_FAMILIES = ("gaussian", "uniform", "laplace")
 
@@ -70,23 +67,6 @@ class ScmSpec:
     @classmethod
     def from_json(cls, text):
         return cls.from_json_dict(json.loads(text))
-
-
-def _topological_order(g):
-    indeg = {v: len(g.parents(v)) for v in g.nodes}
-    ready = sorted(v for v in g.nodes if indeg[v] == 0)
-    order = []
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for c in g.children(v):
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-        ready.sort()
-    if len(order) != len(g.nodes):
-        raise SimulationError("graph has a directed cycle")
-    return order
 
 
 def random_dag(p, edge_prob, seed):
@@ -206,42 +186,6 @@ def implied_covariance(spec):
         psi[idx[v], idx[v]] = scale ** 2
     a = np.linalg.inv(np.eye(p) - B)
     return names, a @ psi @ a.T
-
-
-def enumerate_dags(nodes):
-    """All labeled DAGs on the node set (exponential; keep p small)."""
-    nodes = sorted(nodes)
-    pairs = list(combinations(nodes, 2))
-    for assignment in product((0, 1, 2), repeat=len(pairs)):
-        g = MixedGraph(nodes, "dag")
-        for (a, b), code in zip(pairs, assignment):
-            if code == 1:
-                g.add_directed(a, b)
-            elif code == 2:
-                g.add_directed(b, a)
-        if is_dag(g):
-            yield g
-
-
-def exhaustive_best_dag(d, score=None):
-    """Score every DAG on the dataset's variables and return the best one.
-
-    Refuses more than 4 variables. Ties break toward fewer edges, then the
-    lexicographically smallest edge list.
-    """
-    if d.p > 4:
-        raise SimulationError("exhaustive search is limited to p <= 4")
-    score = score or {}
-    scorer = score if isinstance(score, BicScorer) else BicScorer(
-        pearson_matrix(d), score.get("penalty_discount", 1.0))
-    best = None
-    best_key = None
-    for g in enumerate_dags(d.names):
-        total = scorer.score_dag(g)
-        key = (-total, g.edge_count, tuple(g.directed_edges()))
-        if best_key is None or key < best_key:
-            best, best_key = g, key
-    return best
 
 
 def discretize(d, bins):

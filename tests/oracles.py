@@ -130,6 +130,15 @@ def enumerate_dags(nodes):
             yield edges
 
 
+def exhaustive_best_dag(scorer, nodes):
+    """Best-scoring DAG on the nodes, found by scoring every DAG (p <= 4).
+    Ties go to fewer edges, then to the lexicographically smallest edge list."""
+    nodes = sorted(nodes)
+    best = min(enumerate_dags(nodes), key=lambda edges: (
+        -scorer.score_dag(build_dag(nodes, edges)), len(edges), edges))
+    return build_dag(nodes, best)
+
+
 def skeleton_and_vstructures(nodes, edges):
     """Markov-equivalence signature: skeleton plus unshielded colliders."""
     skel = frozenset(frozenset(e) for e in edges)

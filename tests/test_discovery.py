@@ -20,13 +20,9 @@ from causalpath.discovery import (
     run_discovery,
 )
 from causalpath.score import BicScorer
-from causalpath.simulate import (
-    ScmSpec,
-    exhaustive_best_dag,
-    random_dag,
-    random_scm,
-    sample_scm,
-)
+from causalpath.simulate import ScmSpec, random_dag, random_scm, sample_scm
+
+from oracles import exhaustive_best_dag
 
 
 class MarginalOracle:
@@ -165,6 +161,26 @@ class TestFci:
         out = fci(pearson_matrix(d), bk=bk)
         assert knowledge_violations(out, bk) == []
 
+    def test_tiers_put_arrowheads_at_later_tier(self):
+        # knowledge_violations audits directed edges only; under tiers every
+        # cross-tier edge, whatever its marks, must point into the later tier
+        for seed in range(12):
+            spec = random_scm(6, 0.5, 800 + seed)
+            names = sorted(spec.dag.nodes)
+            rng = np.random.default_rng(seed)
+            order = list(rng.permutation(names))
+            tiers = [order[:2], order[2:4], order[4:]]
+            tier = {v: i for i, t in enumerate(tiers) for v in t}
+            bk = BackgroundKnowledge(tiers=tiers)
+            sources = [oracle_ci(spec.dag), pearson_matrix(sample_scm(spec, 1000))]
+            for source in sources:
+                out = fci(source, bk=bk)
+                for a, b, ma, mb in out.edges():
+                    if tier[a] < tier[b]:
+                        assert mb == "arrow", (seed, a, b)
+                    elif tier[b] < tier[a]:
+                        assert ma == "arrow", (seed, a, b)
+
     def test_kind_is_pag(self):
         dag = random_dag(4, 0.5, 2)
         assert fci(oracle_ci(dag)).kind == "pag"
@@ -188,7 +204,7 @@ class TestFges:
             d = sample_scm(spec, 10000)
             corr = pearson_matrix(d)
             out = fges(corr)
-            best = exhaustive_best_dag(d, BicScorer(corr))
+            best = exhaustive_best_dag(BicScorer(corr), d.names)
             agree += out == cpdag_of(best)
         assert agree >= 19
 

@@ -80,6 +80,49 @@ class TestMixedGraph:
         g2.add_directed("a", "b")
         assert g1 == g2
 
+    def test_equality_and_hash_ignore_insertion_order(self):
+        g1 = MixedGraph(["a", "b", "c"], "pag")
+        g1.add_edge("a", "b", CIRCLE, ARROW)
+        g1.add_undirected("b", "c")
+        g2 = MixedGraph(["c", "b", "a"], "pag")
+        g2.add_undirected("c", "b")
+        g2.add_edge("b", "a", ARROW, CIRCLE)
+        assert g1 == g2 and hash(g1) == hash(g2)
+        g2.set_mark("a", "b", TAIL)
+        assert g1 != g2
+
+    def test_copy_is_independent(self):
+        g = collider()
+        h = g.copy()
+        h.set_mark("A", "B", CIRCLE)
+        h.remove_edge("C", "B")
+        h.add_undirected("A", "C")
+        assert g == collider()
+        assert g.mark_at("A", "B") == TAIL and not g.has_edge("A", "C")
+
+    def test_missing_edge_raises(self):
+        g = chain()
+        for call in (lambda: g.mark_at("A", "C"), lambda: g.set_mark("A", "C", TAIL),
+                     lambda: g.remove_edge("A", "C"), lambda: g.mark_at("A", "Z")):
+            with pytest.raises(GraphError):
+                call()
+
+    def test_all_mark_pairs_roundtrip(self):
+        pairs = [(ma, mb) for ma in (TAIL, ARROW, CIRCLE) for mb in (TAIL, ARROW, CIRCLE)]
+        nodes = [f"v{i}" for i in range(2 * len(pairs))]
+        g = MixedGraph(nodes, "pag")
+        expected = []
+        for k, (ma, mb) in enumerate(pairs):
+            a, b = nodes[2 * k], nodes[2 * k + 1]
+            if k % 2:
+                g.add_edge(b, a, mb, ma)
+            else:
+                g.add_edge(a, b, ma, mb)
+            expected.append((a, b, ma, mb))
+        assert g.edges() == sorted(expected)
+        g2 = MixedGraph.from_json(g.to_json())
+        assert g2 == g and g2.edges() == g.edges()
+
 
 class TestIsDag:
     def test_empty_graph(self):

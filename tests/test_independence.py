@@ -1,10 +1,19 @@
 import json
+import logging
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from causalpath.data import CorrelationMatrix, Dataset, VariableSchema, pearson_matrix
+from causalpath.data import (
+    CorrelationMatrix,
+    Dataset,
+    VariableSchema,
+    pearson_matrix,
+    polychoric_matrix,
+)
+from causalpath.discovery import pc
 from causalpath.graph import MixedGraph
 from causalpath.independence import (
     CiTestResult,
@@ -16,6 +25,7 @@ from causalpath.independence import (
     oracle_ci,
     partial_correlation,
 )
+from causalpath.simulate import discretize, random_scm, sample_scm
 
 from oracles import spd_correlation
 
@@ -132,6 +142,23 @@ class TestFisherZ:
         grid = (np.arange(1, 1001)) / 1000.0
         ks = np.max(np.abs(pvals - grid))
         assert ks < 0.05
+
+    def test_indefinite_matrix_noted(self, caplog):
+        # a small binarized sample gives an indefinite tetrachoric matrix
+        # (minimum eigenvalue -0.147); some of PC's tests get a nonpositive
+        # residual variance and so no partial correlation
+        d = sample_scm(random_scm(8, 0.6, 21, weight_range=(0.8, 1.5)), 80)
+        corr = polychoric_matrix(discretize(d, {v: [0.0] for v in d.names}))
+        log = SessionLog(FisherZTest(corr))
+        with warnings.catch_warnings(), caplog.at_level(logging.WARNING):
+            warnings.simplefilter("error", RuntimeWarning)
+            pc(log)
+        nan = [r for r in log.records if np.isnan(r["p_value"])]
+        assert nan
+        assert all(r["note"] == "indefinite" and not r["independent"] for r in nan)
+        noted = [r for r in caplog.records
+                 if r.name == "causalpath.independence" and "indefinite" in r.getMessage()]
+        assert len(noted) == len(nan)
 
     def test_sample_size_precondition(self):
         t = FisherZTest(corr_of(np.eye(4), n=5))

@@ -9,14 +9,14 @@ from causalpath.simulate import (
     ScmSpec,
     SimulationError,
     discretize,
-    enumerate_dags,
-    exhaustive_best_dag,
     implied_covariance,
     random_dag,
     random_scm,
     sample_scm,
     standardized_scm,
 )
+
+from oracles import enumerate_dags, exhaustive_best_dag
 
 
 class TestRandomDag:
@@ -131,31 +131,19 @@ class TestEnumerateAndExhaustive:
         assert sum(1 for _ in enumerate_dags(["a", "b", "c"])) == 25
         assert sum(1 for _ in enumerate_dags(["a", "b", "c", "d"])) == 543
 
-    def test_refuses_large_p(self):
-        spec = random_scm(5, 0.3, 1)
-        with pytest.raises(SimulationError):
-            exhaustive_best_dag(sample_scm(spec, 100))
-
     def test_independent_data_prefers_empty(self):
         spec = random_scm(2, 0.0, 17)
         d = sample_scm(spec, 2000)
-        assert exhaustive_best_dag(d).edge_count == 0
+        assert exhaustive_best_dag(BicScorer(pearson_matrix(d)), d.names).edge_count == 0
 
     def test_strong_edge_recovered(self):
         g = MixedGraph(["a", "b"], "dag")
         g.add_directed("a", "b")
         spec = ScmSpec(g, {("a", "b"): 0.8}, {v: ("gaussian", 1.0) for v in "ab"}, seed=3)
         d = sample_scm(spec, 5000)
-        best = exhaustive_best_dag(d)
+        best = exhaustive_best_dag(BicScorer(pearson_matrix(d)), d.names)
         assert best.edge_count == 1
         assert cpdag_of(best).is_undirected("a", "b")
-
-    def test_accepts_scorer(self):
-        spec = random_scm(3, 0.5, 9)
-        d = sample_scm(spec, 1000)
-        scorer = BicScorer(pearson_matrix(d), penalty_discount=2.0)
-        g = exhaustive_best_dag(d, scorer)
-        assert is_dag(g)
 
 
 class TestDiscretize:
