@@ -34,6 +34,12 @@ class SingularConditioningError(IndependenceError):
         super().__init__(f"singular conditioning submatrix for ({x}, {y} | {sorted(z)})")
 
 
+def _finite_or_none(v):
+    """JSON has no NaN or infinity: such a value is written as null."""
+    v = float(v)
+    return v if np.isfinite(v) else None
+
+
 @dataclass
 class CiTestResult:
     statistic: float
@@ -44,8 +50,8 @@ class CiTestResult:
 
     def to_json_dict(self):
         return {
-            "statistic": float(self.statistic),
-            "p_value": float(self.p_value),
+            "statistic": _finite_or_none(self.statistic),
+            "p_value": _finite_or_none(self.p_value),
             "dof_or_condsize": int(self.dof_or_condsize),
             "independent": bool(self.independent),
             "note": self.note,
@@ -118,49 +124,28 @@ class GSquaredTest:
         self.alpha = alpha
         self.nodes = list(dataset.names)
         self.calls = 0
-        self._codes = {}
+        self._codes, self._levels = {}, {}
         for name in self.nodes:
-            _, codes = np.unique(dataset.column(name), return_inverse=True)
-            self._codes[name] = codes
-
-    def _levels(self, name):
-        return int(self._codes[name].max()) + 1
+            uniq, self._codes[name] = np.unique(dataset.column(name), return_inverse=True)
+            self._levels[name] = len(uniq)
 
     def __call__(self, x, y, z=()):
+        """Sum of the per-stratum G^2 over the strata of Z that occur. Each
+        stratum adds (x levels seen - 1)(y levels seen - 1) degrees of freedom."""
         self.calls += 1
         z = list(z)
         xc, yc = self._codes[x], self._codes[y]
-        lx, ly = self._levels(x), self._levels(y)
-        if z:
-            stride = 1
-            strata = np.zeros(len(xc), dtype=int)
-            for v in z:
-                strata += self._codes[v] * stride
-                stride *= self._levels(v)
-            n_strata = stride
-        else:
-            strata = np.zeros(len(xc), dtype=int)
-            n_strata = 1
-
-        g2 = 0.0
-        nonempty = 0
-        for s in range(n_strata):
-            mask = strata == s
-            total = int(mask.sum())
-            if total == 0:
-                continue
-            nonempty += 1
-            table = np.zeros((lx, ly))
-            np.add.at(table, (xc[mask], yc[mask]), 1.0)
-            rows = table.sum(axis=1)
-            cols = table.sum(axis=0)
-            expected = np.outer(rows, cols) / total
-            obs = table > 0
-            g2 += 2.0 * float((table[obs] * np.log(table[obs] / expected[obs])).sum())
-
-        if nonempty == 0:
-            return CiTestResult(0.0, 1.0, 0, True, note="degenerate")
-        dof = (lx - 1) * (ly - 1) * nonempty
+        lx, ly = self._levels[x], self._levels[y]
+        joint = (np.ravel_multi_index([self._codes[v] for v in z], [self._levels[v] for v in z])
+                 if z else np.zeros(len(xc), dtype=np.intp))
+        seen, stratum = np.unique(joint, return_inverse=True)
+        cube = np.bincount((stratum * lx + xc) * ly + yc,
+                           minlength=len(seen) * lx * ly).reshape(len(seen), lx, ly)
+        rows, cols = cube.sum(axis=2), cube.sum(axis=1)
+        expected = rows[:, :, None] * cols[:, None, :] / rows.sum(axis=1)[:, None, None]
+        obs = cube > 0
+        g2 = 2.0 * float((cube[obs] * np.log(cube[obs] / expected[obs])).sum())
+        dof = int((((rows > 0).sum(axis=1) - 1) * ((cols > 0).sum(axis=1) - 1)).sum())
         if dof <= 0:
             return CiTestResult(0.0, 1.0, 0, True, note="degenerate")
         p = float(chi2.sf(g2, dof))

@@ -3,9 +3,9 @@
 Step one fixes the thresholds of each ordinal margin from its cumulative
 proportions through the inverse standard-normal CDF. Step two maximizes the
 bivariate-normal cell likelihood over the latent correlation with a bracketed
-scalar search. Rectangle probabilities come from a panelized 32-point tensor
-Gauss-Legendre rule (panel width <= 4, tails clipped at |z| = 8.5), which
-keeps the absolute quadrature error far below 1e-8.
+scalar search. Each cell probability is the double difference of the standard
+bivariate-normal CDF at the cell's corners, and the CDF at a finite corner is
+Owen's (1956) closed form in Owen's T function, exact to double precision.
 """
 from __future__ import annotations
 
@@ -13,59 +13,40 @@ import logging
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+from scipy.special import ndtr, owens_t
 from scipy.stats import norm
 
 logger = logging.getLogger(__name__)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_CLIP = 8.5
-_PANEL_WIDTH = 4.0
 _RHO_BOUND = 0.999
+_ZERO_SHIFT = 1e-100  # a zero threshold moves here: Owen's form divides by it
 
 
-def _axis_rule(thresholds):
-    """Quadrature nodes/weights covering each interval between thresholds.
-
-    `thresholds` must include the +-inf endpoints. Returns the concatenated
-    node and weight arrays plus the start index of every interval.
-    """
-    nodes, weights, starts = [], [], []
-    pos = 0
-    for lo, hi in zip(thresholds[:-1], thresholds[1:]):
-        lo = max(lo, -_CLIP)
-        hi = min(hi, _CLIP)
-        starts.append(pos)
-        if lo >= hi:
-            # interval entirely in a clipped tail: one dummy zero-weight node
-            nodes.append(np.array([0.0]))
-            weights.append(np.array([0.0]))
-            pos += 1
-            continue
-        n_panels = max(1, int(np.ceil((hi - lo) / _PANEL_WIDTH)))
-        edges = np.linspace(lo, hi, n_panels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            nodes.append((a + b) / 2.0 + half * _GL_NODES)
-            weights.append(half * _GL_WEIGHTS)
-            pos += 32
-    return np.concatenate(nodes), np.concatenate(weights), np.array(starts)
+def _bvn_cdf(h, k, rho):
+    """P(X <= h, Y <= k) of a standard bivariate normal on the finite grid
+    h (column) x k (row), from Owen's T."""
+    h = np.where(h == 0.0, _ZERO_SHIFT, h)[:, None]
+    k = np.where(k == 0.0, _ZERO_SHIFT, k)[None, :]
+    root = np.sqrt(1.0 - rho * rho)
+    return (0.5 * (ndtr(h) + ndtr(k))
+            - owens_t(h, (k - rho * h) / (h * root))
+            - owens_t(k, (h - rho * k) / (k * root))
+            - 0.5 * (h * k < 0.0))
 
 
 def bvn_cell_probs(thresholds_x, thresholds_y, rho):
     """Standard-bivariate-normal probabilities of every threshold rectangle.
 
     Threshold vectors include the infinite endpoints; the result has shape
-    (len(tx)-1, len(ty)-1) and sums to ~1.
+    (len(tx)-1, len(ty)-1) and sums to 1.
     """
-    xn, xw, xs = _axis_rule(np.asarray(thresholds_x, dtype=float))
-    yn, yw, ys = _axis_rule(np.asarray(thresholds_y, dtype=float))
-    one_minus = 1.0 - rho * rho
-    quad = (
-        xn[:, None] ** 2 - 2.0 * rho * np.outer(xn, yn) + yn[None, :] ** 2
-    ) / (2.0 * one_minus)
-    dens = np.exp(-quad) / (2.0 * np.pi * np.sqrt(one_minus))
-    weighted = dens * np.outer(xw, yw)
-    return np.add.reduceat(np.add.reduceat(weighted, xs, axis=0), ys, axis=1)
+    tx = np.asarray(thresholds_x, dtype=float)
+    ty = np.asarray(thresholds_y, dtype=float)
+    cdf = np.zeros((len(tx), len(ty)))  # the -inf row and column stay 0
+    cdf[1:-1, 1:-1] = _bvn_cdf(tx[1:-1], ty[1:-1], rho)
+    cdf[-1, 1:] = ndtr(ty[1:])
+    cdf[1:, -1] = ndtr(tx[1:])
+    return cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
 
 
 def thresholds_from_counts(counts):

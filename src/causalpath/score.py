@@ -47,7 +47,9 @@ class BicScorer:
             sigma2 = float(self.S[i, i] - spv @ beta)
         else:
             sigma2 = float(self.S[i, i])
-        sigma2 = max(sigma2, 1e-12)
+        if sigma2 <= 0.0:
+            raise ScoreError(f"residual variance {sigma2:.3g} <= 0 for {node} on "
+                             f"{sorted(key[1])}: the correlation matrix is indefinite")
         n = self.n
         loglik = -0.5 * n * (LOG_2PI + np.log(sigma2) + 1.0)
         score = 2.0 * loglik - self.penalty_discount * (len(pidx) + 1) * np.log(n)

@@ -17,7 +17,7 @@ from causalpath.data import (
     scale_unit,
     spearman_matrix,
 )
-from causalpath.polychoric import polychoric_pair
+from causalpath.polychoric import bvn_cell_probs, polychoric_pair
 
 
 def make_dataset(values, kinds=None, names=None):
@@ -209,6 +209,28 @@ class TestPearson:
 
 
 class TestPolychoric:
+    @pytest.mark.parametrize("rho", [0.3, 0.97, 0.995])
+    def test_cell_probs_match_scipy_bvn(self, rho):
+        from scipy.stats import multivariate_normal
+
+        tx = np.array([-np.inf, -1.2, 0.0, 0.7, np.inf])
+        ty = np.array([-np.inf, -0.4, 1.5, np.inf])
+        bvn = multivariate_normal([0.0, 0.0], [[1.0, rho], [rho, 1.0]])
+        ref = np.array([[bvn.cdf([tx[i + 1], ty[j + 1]], lower_limit=[tx[i], ty[j]])
+                         for j in range(len(ty) - 1)] for i in range(len(tx) - 1)])
+        probs = bvn_cell_probs(tx, ty, rho)
+        assert probs.shape == (4, 3)
+        np.testing.assert_allclose(probs, ref, rtol=0, atol=1e-10)
+
+    def test_median_split_matches_closed_form(self):
+        # both thresholds at 0: P(cell 00) = 1/4 + arcsin(rho) / (2 pi)
+        table = {(0, 0): 70, (1, 1): 70, (0, 1): 30, (1, 0): 30}
+        pairs = [cell for cell, count in table.items() for _ in range(count)]
+        x, y = np.array(pairs).T
+        rho, warnings = polychoric_pair(x, y)
+        assert warnings == []
+        assert rho == pytest.approx(np.sin(2 * np.pi * (70 / 200 - 0.25)), abs=1e-6)
+
     def test_independence_counts(self):
         x = np.repeat([0, 0, 1, 1], 25)
         y = np.tile([0, 1, 0, 1], 25)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from causalpath.data import Dataset, VariableSchema, pearson_matrix
+from causalpath.data import Dataset, VariableSchema, pearson_matrix, polychoric_matrix
 from causalpath.graph import (
     BackgroundKnowledge,
     MixedGraph,
@@ -19,8 +19,8 @@ from causalpath.discovery import (
     pc,
     run_discovery,
 )
-from causalpath.score import BicScorer
-from causalpath.simulate import ScmSpec, random_dag, random_scm, sample_scm
+from causalpath.score import BicScorer, ScoreError
+from causalpath.simulate import ScmSpec, discretize, random_dag, random_scm, sample_scm
 
 from oracles import exhaustive_best_dag
 
@@ -224,6 +224,18 @@ class TestFges:
             rec = {}
             fges(pearson_matrix(d), record=rec)
             assert rec["total_score"] >= rec["empty_score"] - 1e-9
+
+    def test_indefinite_matrix_raises_and_is_skipped(self):
+        # binarized small sample: indefinite tetrachoric matrix, so some
+        # regressions have a negative residual variance
+        d = sample_scm(random_scm(8, 0.6, 21, weight_range=(0.8, 1.5)), 80)
+        corr = polychoric_matrix(discretize(d, {v: [0.0] for v in d.names}))
+        with pytest.raises(ScoreError, match="indefinite"):
+            BicScorer(corr).local_score("X07", {"X01", "X03", "X04"})
+        rec = {}
+        fges(corr, record=rec)
+        assert np.isfinite(rec["total_score"])
+        assert rec["total_score"] >= rec["empty_score"] - 1e-9
 
     def test_forbidden_pair_never_inserted(self):
         g = MixedGraph(["a", "b"], "dag")

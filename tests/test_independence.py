@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import chi2, norm
 
 from causalpath.data import (
     CorrelationMatrix,
@@ -143,22 +143,30 @@ class TestFisherZ:
         ks = np.max(np.abs(pvals - grid))
         assert ks < 0.05
 
-    def test_indefinite_matrix_noted(self, caplog):
+    def test_indefinite_matrix_noted(self, caplog, tmp_path):
         # a small binarized sample gives an indefinite tetrachoric matrix
         # (minimum eigenvalue -0.147); some of PC's tests get a nonpositive
         # residual variance and so no partial correlation
         d = sample_scm(random_scm(8, 0.6, 21, weight_range=(0.8, 1.5)), 80)
         corr = polychoric_matrix(discretize(d, {v: [0.0] for v in d.names}))
-        log = SessionLog(FisherZTest(corr))
+        log = SessionLog(FisherZTest(corr), path=tmp_path / "pc.jsonl")
         with warnings.catch_warnings(), caplog.at_level(logging.WARNING):
             warnings.simplefilter("error", RuntimeWarning)
             pc(log)
-        nan = [r for r in log.records if np.isnan(r["p_value"])]
+        nan = [r for r in log.records if r["p_value"] is None]
         assert nan
         assert all(r["note"] == "indefinite" and not r["independent"] for r in nan)
         noted = [r for r in caplog.records
                  if r.name == "causalpath.independence" and "indefinite" in r.getMessage()]
         assert len(noted) == len(nan)
+
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        # the session log is strict JSON: NaN and infinity are written as null
+        with open(log.write(), encoding="utf-8") as fh:
+            lines = [json.loads(line, parse_constant=refuse) for line in fh]
+        assert lines == log.records
 
     def test_sample_size_precondition(self):
         t = FisherZTest(corr_of(np.eye(4), n=5))
@@ -202,6 +210,26 @@ class TestGSquared:
                         g2 += 2 * table[i, j] * np.log(table[i, j] / e)
         assert res.statistic == pytest.approx(g2, abs=1e-9)
         assert res.dof_or_condsize == (2 - 1) * (2 - 1) * 3
+
+    def test_dof_counts_levels_seen_in_each_stratum(self):
+        # stratum z=1 never sees x=2: it has a 2x2 table, not a 3x2 one
+        rng = np.random.default_rng(5)
+        z = np.repeat([0, 1], 150)
+        x = np.where(z == 0, rng.integers(0, 3, 300), rng.integers(0, 2, 300))
+        y = rng.integers(0, 2, 300)
+        res = GSquaredTest(discrete_dataset(np.column_stack([x, y, z])))("v0", "v1", ["v2"])
+        assert res.dof_or_condsize == (3 - 1) * (2 - 1) + (2 - 1) * (2 - 1)
+        assert res.p_value == pytest.approx(chi2.sf(res.statistic, 3))
+
+    def test_degenerate_without_dof(self):
+        # y is constant within each stratum of z, so no stratum has a dof
+        x = np.tile([0, 1, 2], 20)
+        z = np.repeat([0, 1], 30)
+        res = GSquaredTest(discrete_dataset(np.column_stack([x, z, z])))("v0", "v1", ["v2"])
+        assert (res.note, res.dof_or_condsize, res.independent) == ("degenerate", 0, True)
+        empty = Dataset(discrete_dataset(np.column_stack([x, z])).schema, np.empty((0, 2)))
+        res = GSquaredTest(empty)("v0", "v1")
+        assert (res.note, res.p_value) == ("degenerate", 1.0)
 
     def test_rejects_continuous(self):
         d = Dataset([VariableSchema("x", "continuous")],
