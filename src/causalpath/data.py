@@ -22,6 +22,8 @@ logger = logging.getLogger(__name__)
 
 KINDS = ("binary", "ordinal", "continuous")
 
+_COND_LIMIT = 1e10  # condition number beyond which a correlation block is unusable
+
 
 class DataError(ValueError):
     """Schema, file, or rule problem during ingestion."""
@@ -33,6 +35,16 @@ class MissingColumnError(DataError):
 
 class UnmappableCellError(DataError):
     pass
+
+
+class SingularConditioningError(DataError):
+    """A correlation block is too ill-conditioned to invert; `.names` is the
+    block, in the order it was asked for."""
+
+    def __init__(self, names):
+        self.names = tuple(names)
+        super().__init__(f"near-singular correlation block {list(self.names)} "
+                         f"(condition number > {_COND_LIMIT:.0e})")
 
 
 @dataclass
@@ -162,7 +174,8 @@ class Dataset:
 
 @dataclass
 class CorrelationMatrix:
-    """p x p correlation matrix with its method and sample size."""
+    """p x p correlation matrix with its method and sample size. `precision`
+    inverts its blocks for Fisher-z and the BIC score."""
 
     names: list[str]
     matrix: np.ndarray
@@ -173,6 +186,11 @@ class CorrelationMatrix:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (len(self.names), len(self.names)):
             raise DataError("matrix shape does not match names")
+        self._pos = {nm: i for i, nm in enumerate(self.names)}
+        if len(self._pos) != len(self.names):
+            raise DataError("duplicate variable names")
+        if not np.isfinite(m).all():
+            raise DataError("non-finite correlation entries")
         if np.abs(m - m.T).max(initial=0.0) > 1e-12:
             raise DataError("correlation matrix not symmetric")
         m = (m + m.T) / 2.0
@@ -183,9 +201,21 @@ class CorrelationMatrix:
 
     def index(self, name):
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._pos[name]
+        except KeyError:
             raise DataError(f"unknown variable {name!r}") from None
+
+    def precision(self, names):
+        """Inverse of the block over `names`, rows in that order, from one
+        symmetric eigendecomposition. Raises SingularConditioningError when
+        max|eigenvalue| > _COND_LIMIT * min|eigenvalue|, the block's 2-norm
+        condition number. An indefinite block is inverted all the same."""
+        idx = [self.index(v) for v in names]
+        lam, vec = np.linalg.eigh(self.matrix.take(idx, 0).take(idx, 1))
+        size = np.abs(lam)
+        if size.max() > _COND_LIMIT * size.min():
+            raise SingularConditioningError(names)
+        return (vec / lam) @ vec.T
 
     def value(self, a, b):
         return float(self.matrix[self.index(a), self.index(b)])

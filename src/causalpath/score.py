@@ -3,11 +3,15 @@
 The local score of a node given a parent set is twice the profiled Gaussian
 log-likelihood of its linear regression minus a penalty-discounted BIC term.
 Scores are memoized per (node, parent-set); a cached value always equals its
-recomputation.
+recomputation. The residual variance is 1 / precision[0, 0] of the
+node-plus-parents block (`CorrelationMatrix.precision`), so a near-singular
+regression is refused by the rule Fisher-z uses.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .data import SingularConditioningError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -21,11 +25,9 @@ class BicScorer:
         if penalty_discount <= 0:
             raise ScoreError("penalty_discount must be positive")
         self.corr = corr
-        self.S = corr.matrix
         self.n = corr.n
         self.penalty_discount = penalty_discount
         self.names = list(corr.names)
-        self._idx = {nm: i for i, nm in enumerate(self.names)}
         self.cache: dict[tuple, float] = {}
         self.evaluations = 0
 
@@ -35,24 +37,18 @@ class BicScorer:
         if hit is not None:
             return hit
         self.evaluations += 1
-        i = self._idx[node]
-        pidx = sorted(self._idx[p] for p in key[1])
-        if pidx:
-            spp = self.S[np.ix_(pidx, pidx)]
-            spv = self.S[pidx, i]
-            try:
-                beta = np.linalg.solve(spp, spv)
-            except np.linalg.LinAlgError:
-                raise ScoreError(f"singular regression of {node} on {sorted(key[1])}") from None
-            sigma2 = float(self.S[i, i] - spv @ beta)
-        else:
-            sigma2 = float(self.S[i, i])
-        if sigma2 <= 0.0:
-            raise ScoreError(f"residual variance {sigma2:.3g} <= 0 for {node} on "
+        try:
+            p00 = float(self.corr.precision([node, *sorted(key[1])])[0, 0])
+        except SingularConditioningError as err:
+            raise ScoreError(f"singular regression of {node} on {sorted(key[1])}: "
+                             f"{err}") from None
+        if p00 <= 0.0:
+            raise ScoreError(f"residual variance 1/{p00:.3g} <= 0 for {node} on "
                              f"{sorted(key[1])}: the correlation matrix is indefinite")
+        sigma2 = 1.0 / p00
         n = self.n
         loglik = -0.5 * n * (LOG_2PI + np.log(sigma2) + 1.0)
-        score = 2.0 * loglik - self.penalty_discount * (len(pidx) + 1) * np.log(n)
+        score = 2.0 * loglik - self.penalty_discount * (len(key[1]) + 1) * np.log(n)
         self.cache[key] = score
         return score
 

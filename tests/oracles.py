@@ -10,7 +10,28 @@ from itertools import combinations, product
 
 import numpy as np
 
-from causalpath.graph import ARROW, TAIL, MixedGraph
+from causalpath.graph import ARROW, TAIL, MixedGraph, d_separated
+from causalpath.independence import CiTestResult
+
+
+class OracleCI:
+    """Exact CI oracle reading independence off a DAG by d-separation."""
+
+    def __init__(self, dag, alpha=0.05):
+        self.dag = dag
+        self.alpha = alpha
+        self.nodes = sorted(dag.nodes)
+        self.calls = 0
+
+    def __call__(self, x, y, z=()):
+        self.calls += 1
+        sep = d_separated(self.dag, x, y, z)
+        return CiTestResult(0.0, 1.0 if sep else 0.0, len(tuple(z)), sep)
+
+
+def oracle_ci(dag, alpha=0.05):
+    """CI-test function whose `independent` flag equals d-separation in dag."""
+    return OracleCI(dag, alpha)
 
 
 def random_dag_edges(p, edge_prob, rng):

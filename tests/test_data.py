@@ -287,6 +287,15 @@ class TestCorrelationMatrixType:
             CorrelationMatrix(["a", "b"], np.array([[1.0, 0.5], [0.4, 1.0]]),
                               "pearson", 10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            CorrelationMatrix(["a", "b"], np.array([[1.0, bad], [bad, 1.0]]), "pearson", 10)
+
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(DataError, match="duplicate"):
+            CorrelationMatrix(["a", "a"], np.eye(2), "pearson", 10)
+
     def test_exports(self):
         c = CorrelationMatrix(["a", "b"], np.array([[1.0, 0.25], [0.25, 1.0]]),
                               "pearson", 5)

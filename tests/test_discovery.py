@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from causalpath.graph import (
     is_dag,
     knowledge_violations,
 )
-from causalpath.independence import oracle_ci
 from causalpath.discovery import (
     DiscoveryConfig,
     DiscoveryError,
@@ -22,7 +23,7 @@ from causalpath.discovery import (
 from causalpath.score import BicScorer, ScoreError
 from causalpath.simulate import ScmSpec, discretize, random_dag, random_scm, sample_scm
 
-from oracles import exhaustive_best_dag
+from oracles import build_dag, enumerate_dags, exhaustive_best_dag, oracle_ci
 
 
 class MarginalOracle:
@@ -236,6 +237,30 @@ class TestFges:
         fges(corr, record=rec)
         assert np.isfinite(rec["total_score"])
         assert rec["total_score"] >= rec["empty_score"] - 1e-9
+
+    def test_singular_regression_raises_and_is_skipped(self, caplog):
+        # a survey total T = A + B: regressing any of the three on the other
+        # two is singular, and its residual variance is rounding noise
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((2, 500))
+        d = Dataset([VariableSchema(v, "continuous") for v in "ABT"],
+                    np.column_stack([a, b, a + b]))
+        corr = pearson_matrix(d)
+        scorer = BicScorer(corr)
+        with pytest.raises(ScoreError, match="singular"):
+            scorer.local_score("T", {"A", "B"})
+        rec = {}
+        with caplog.at_level(logging.WARNING, logger="causalpath.discovery.fges"):
+            fges(corr, record=rec)
+        assert any("skipped: singular regression" in r.getMessage() for r in caplog.records)
+        admissible = []
+        for edges in enumerate_dags(d.names):
+            try:
+                admissible.append(scorer.score_dag(build_dag(d.names, edges)))
+            except ScoreError:
+                pass
+        assert np.isfinite(rec["total_score"])
+        assert rec["empty_score"] - 1e-9 <= rec["total_score"] <= max(admissible) + 1e-9
 
     def test_forbidden_pair_never_inserted(self):
         g = MixedGraph(["a", "b"], "dag")

@@ -22,12 +22,11 @@ from causalpath.independence import (
     IndependenceError,
     SessionLog,
     SingularConditioningError,
-    oracle_ci,
     partial_correlation,
 )
 from causalpath.simulate import discretize, random_scm, sample_scm
 
-from oracles import spd_correlation
+from oracles import oracle_ci, spd_correlation
 
 
 def corr_of(matrix, n=100, names=None):
@@ -80,7 +79,7 @@ class TestPartialCorrelation:
         c = corr_of(m)
         with pytest.raises(SingularConditioningError) as err:
             partial_correlation(c, "v0", "v2", ["v1"])
-        assert err.value.z == ("v1",)
+        assert err.value.names == ("v0", "v2", "v1")
 
     def test_relabeling_outside_xyz_invariant(self):
         rng = np.random.default_rng(23)
@@ -90,6 +89,43 @@ class TestPartialCorrelation:
         perm = [0, 1, 2, 4, 3]  # swap the two unused variables
         c2 = corr_of(m[np.ix_(perm, perm)])
         assert partial_correlation(c2, "v0", "v1", ["v2"]) == pytest.approx(base)
+
+
+def equicorrelation_block(k, cond):
+    """k x k correlation block with equal off-diagonals and the given 2-norm
+    condition number: eigenvalues 1 + (k - 1) r and 1 - r."""
+    r = (cond - 1.0) / (cond + k - 1.0)
+    m = np.full((k, k), r)
+    np.fill_diagonal(m, 1.0)
+    return m
+
+
+class TestPrecisionKernel:
+    def test_matches_inverse(self):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            c = corr_of(spd_correlation(7, rng, extra=12))
+            names = list(rng.permutation(c.names)[:rng.integers(1, 8)])
+            idx = [c.index(v) for v in names]
+            ref = np.linalg.inv(c.matrix[np.ix_(idx, idx)])
+            np.testing.assert_allclose(c.precision(names), ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("cond", [1e9, 1e11])
+    def test_raises_exactly_beyond_condition_limit(self, k, cond):
+        # the block sits inside a larger matrix next to an unrelated variable
+        m = np.eye(k + 1)
+        m[1:, 1:] = equicorrelation_block(k, cond)
+        c = corr_of(m)
+        names = [f"v{i}" for i in range(k, 0, -1)]
+        too_ill = np.linalg.cond(c.matrix[1:, 1:]) > 1e10
+        assert too_ill == (cond > 1e10)
+        if too_ill:
+            with pytest.raises(SingularConditioningError) as err:
+                c.precision(names)
+            assert err.value.names == tuple(names)
+        else:
+            assert np.isfinite(c.precision(names)).all()
 
 
 class TestFisherZ:
@@ -168,6 +204,19 @@ class TestFisherZ:
             lines = [json.loads(line, parse_constant=refuse) for line in fh]
         assert lines == log.records
 
+    def test_pvalue_equals_scipy_stats(self):
+        rng = np.random.default_rng(41)
+        names = [f"v{i}" for i in range(8)]
+        t = FisherZTest(corr_of(spd_correlation(8, rng, extra=30), n=60))
+        checked = 0
+        for _ in range(600):
+            x, y, *z = rng.permutation(names)[:rng.integers(2, 7)]
+            res = t(x, y, z)
+            assert res.note == ""
+            assert res.p_value == 2.0 * norm.sf(abs(res.statistic))
+            checked += 0.0 < res.p_value < 1.0
+        assert checked >= 500
+
     def test_sample_size_precondition(self):
         t = FisherZTest(corr_of(np.eye(4), n=5))
         with pytest.raises(IndependenceError):
@@ -230,6 +279,21 @@ class TestGSquared:
         empty = Dataset(discrete_dataset(np.column_stack([x, z])).schema, np.empty((0, 2)))
         res = GSquaredTest(empty)("v0", "v1")
         assert (res.note, res.p_value) == ("degenerate", 1.0)
+
+    def test_pvalue_equals_scipy_stats(self):
+        rng = np.random.default_rng(43)
+        data = rng.integers(0, 3, (150, 6)).astype(float)
+        data[:, 1] = (data[:, 0] + rng.integers(0, 2, 150)) % 3
+        t = GSquaredTest(discrete_dataset(data))
+        checked = 0
+        for _ in range(600):
+            x, y, *z = rng.permutation(t.nodes)[:rng.integers(2, 5)]
+            res = t(x, y, z)
+            if res.note:
+                continue
+            assert res.p_value == chi2.sf(res.statistic, res.dof_or_condsize)
+            checked += 1
+        assert checked >= 500
 
     def test_rejects_continuous(self):
         d = Dataset([VariableSchema("x", "continuous")],
