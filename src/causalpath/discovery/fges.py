@@ -22,6 +22,8 @@ from .common import DiscoveryConfig, as_scorer, finish_record, orient_by_knowled
 
 logger = logging.getLogger(__name__)
 
+_TIE_RTOL = 1e-12
+
 
 def _subsets(items):
     items = sorted(items)
@@ -46,6 +48,17 @@ def _semidirected_reachable(g, frm, to, blocked):
                 seen.add(w)
                 stack.append(w)
     return False
+
+
+def _better(delta, key, best):
+    """Does an operator beat best = (delta, x, y, set)? The higher delta
+    wins; deltas within a relative _TIE_RTOL tie, and a tie goes to the
+    smaller (x, y, set), so last-bit rounding cannot pick the operator."""
+    if best is None:
+        return True
+    if abs(delta - best[0]) <= _TIE_RTOL * max(abs(delta), abs(best[0])):
+        return key < best[1:]
+    return delta > best[0]
 
 
 def _rebuild(g, bk, conflicts):
@@ -84,9 +97,7 @@ def _best_insert(g, scorer, bk, skip):
                 except ScoreError as err:
                     logger.warning("fges insert %s->%s skipped: %s", x, y, err)
                     continue
-                # higher delta wins; exact ties go to the smaller (x, y, T)
-                if best is None or delta > best[0] or (
-                        delta == best[0] and (x, y, T) < best[1:]):
+                if _better(delta, (x, y, T), best):
                     best = (delta, x, y, T)
     return best
 
@@ -128,8 +139,7 @@ def _best_delete(g, scorer, bk, skip):
                 except ScoreError as err:
                     logger.warning("fges delete %s-%s skipped: %s", x, y, err)
                     continue
-                if best is None or delta > best[0] or (
-                        delta == best[0] and (x, y, H) < best[1:]):
+                if _better(delta, (x, y, H), best):
                     best = (delta, x, y, H)
     return best
 

@@ -1,15 +1,16 @@
 """DirectLiNGAM: causal ordering for linear models with non-Gaussian noise.
 
-At each step the most exogenous remaining variable is the one minimizing the
-aggregate pairwise dependence between its values and the residuals of
-regressing the others on it, measured with the maximum-entropy approximation
-(log-cosh and Gaussian-moment contrast functions). The coefficient matrix is
-then estimated by least squares along the recovered order and pruned at a
-fixed magnitude threshold.
+At each step the most exogenous remaining variable is placed, scored by the
+pairwise dependence between each variable and the residuals of regressing
+the others on it (maximum-entropy approximation with log-cosh and
+Gaussian-moment contrasts; Hyvarinen & Smith 2013). One kernel scores all
+remaining variables, building the residuals in blocks of `_BLOCK_BYTES`. A
+variable waits until its required parents are placed, and data of deficient
+rank is refused. Coefficients are then fitted by least squares along the
+order and pruned at a fixed magnitude threshold.
 """
 from __future__ import annotations
 
-import logging
 import time
 
 import numpy as np
@@ -18,57 +19,50 @@ from ..data import Dataset
 from ..graph import MixedGraph, _bk
 from .common import DiscoveryConfig, DiscoveryError, finish_record
 
-logger = logging.getLogger(__name__)
-
 _K1 = 79.047
 _K2 = 7.4129
 _GAMMA = 0.37457
+_BLOCK_BYTES = 1 << 20  # size of one block of pairwise residuals
 
 
 def _entropy(u):
-    """Differential entropy of a standardized sample, maximum-entropy approx."""
+    """Differential entropy of each standardized column (axis 0) of u,
+    maximum-entropy approximation."""
     return (1.0 + np.log(2.0 * np.pi)) / 2.0 \
-        - _K1 * (np.mean(np.log(np.cosh(u))) - _GAMMA) ** 2 \
-        - _K2 * np.mean(u * np.exp(-(u ** 2) / 2.0)) ** 2
+        - _K1 * (np.mean(np.log(np.cosh(u)), axis=0) - _GAMMA) ** 2 \
+        - _K2 * np.mean(u * np.exp(-(u ** 2) / 2.0), axis=0) ** 2
 
 
 def _standardize(x):
-    sd = x.std()
-    return (x - x.mean()) / sd if sd > 0 else x - x.mean()
+    """Center and scale each column (axis 0); a zero column stays zero."""
+    sd = x.std(axis=0)
+    x = x - x.mean(axis=0)
+    return np.divide(x, sd, out=x, where=sd > 0)
 
 
-def _residual(xi, xj):
-    """Residual of regressing xi on xj (both centered)."""
-    var = np.var(xj)
-    if var <= 0:
-        return xi.copy()
-    return xi - (np.cov(xi, xj, bias=True)[0, 1] / var) * xj
+def _exogeneity(w):
+    """Score of every column of the (n, r) matrix w; the lowest is the most
+    exogenous.
 
-
-def _pairwise_measure(xi, xj):
-    """Difference of the two directional mutual-information surrogates; a
-    negative value favors xi as the cause of xj."""
-    xi_s = _standardize(xi)
-    xj_s = _standardize(xj)
-    ri_j = _standardize(_residual(xi_s, xj_s))
-    rj_i = _standardize(_residual(xj_s, xi_s))
-    return (_entropy(xj_s) + _entropy(ri_j)) - (_entropy(xi_s) + _entropy(rj_i))
-
-
-def _required_ancestors(names, bk):
-    """Transitive closure of the required-edge relation, per node."""
-    anc = {v: set() for v in names}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in bk.required:
-            if a not in anc or b not in anc:
-                continue
-            add = (anc[a] | {a}) - anc[b]
-            if add:
-                anc[b] |= add
-                changed = True
-    return anc
+    Column i scores sum_j min(0, m_ij)^2 with m_ij = H(z_j) + H(r_i|j) -
+    H(z_i) - H(r_j|i), where z are the standardized columns and r_i|j the
+    standardized residual of z_i regressed on z_j; m_ij < 0 favors z_j as
+    the cause of z_i. Residuals are built for blocks of rows i at a time.
+    """
+    n, r = w.shape
+    z = _standardize(w)
+    zc = z - z.mean(axis=0)
+    cov = zc.T @ zc / n
+    coef = cov / np.diag(cov)  # coef[i, j]: slope of z_i on z_j
+    h = _entropy(z)
+    h_res = np.empty((r, r))
+    step = max(1, _BLOCK_BYTES // (8 * n * r))
+    for i in range(0, r, step):
+        res = z[:, i:i + step, None] - z[:, None, :] * coef[i:i + step]
+        h_res[i:i + step] = _entropy(_standardize(res))  # r_i|i is a zero column
+    m = (h[None, :] + h_res) - (h[:, None] + h_res.T)
+    np.fill_diagonal(m, 0.0)
+    return (np.minimum(0.0, m) ** 2).sum(axis=1)
 
 
 def direct_lingam(dataset, cfg=None, bk=None, record=None):
@@ -76,8 +70,10 @@ def direct_lingam(dataset, cfg=None, bk=None, record=None):
 
     Ties in the independence measure break lexicographically, so the output
     is deterministic. Background knowledge restricts the candidate exogenous
-    set (a variable cannot precede its required ancestors) and forbidden
-    directions are excluded from the coefficient regressions.
+    set (a variable waits until its required parents are placed) and
+    forbidden directions are excluded from the coefficient regressions.
+    Data whose centered columns are not linearly independent (a constant or
+    collinear column, or n <= p) raise `DiscoveryError`.
     """
     if not isinstance(dataset, Dataset):
         raise DiscoveryError("direct_lingam needs a Dataset (raw columns, not correlations)")
@@ -88,36 +84,30 @@ def direct_lingam(dataset, cfg=None, bk=None, record=None):
     names = sorted(dataset.names)
     p = len(names)
     n = dataset.n
-    if p > 1 and n <= p:
-        raise DiscoveryError(f"need n > p (n={n}, p={p})")
     col = {v: dataset.column(v) - dataset.column(v).mean() for v in names}
-    work = {v: col[v].copy() for v in names}
-    required_anc = _required_ancestors(names, bk)
+    work = np.column_stack([col[v] for v in names])
+    rank = np.linalg.matrix_rank(work)
+    if rank < p:
+        raise DiscoveryError(f"centered data has rank {rank} < p = {p} (n = {n}): "
+                             "a constant or collinear column, or too few rows")
 
     order = []
     remaining = list(names)
     while remaining:
         cands = [v for v in remaining
-                 if not (required_anc[v] & set(remaining) - {v})]
-        if not cands:
-            cands = list(remaining)
+                 if not any(bk.is_required(u, v) for u in remaining)] or remaining
         if len(cands) == 1:
             m = cands[0]
         else:
-            scores = []
-            for i in cands:
-                total = 0.0
-                for j in remaining:
-                    if i == j:
-                        continue
-                    total += min(0.0, _pairwise_measure(work[i], work[j])) ** 2
-                scores.append((total, i))
-            scores.sort()
-            m = scores[0][1]
+            score = dict(zip(remaining, _exogeneity(work)))
+            m = min(cands, key=lambda v: (score[v], v))
+        k = remaining.index(m)
         order.append(m)
-        remaining.remove(m)
-        for j in remaining:
-            work[j] = _residual(work[j], work[m])
+        del remaining[k]
+        xm = work[:, k]
+        work = np.delete(work, k, axis=1)
+        slope = (work - work.mean(axis=0)).T @ (xm - xm.mean()) / n / np.var(xm)
+        work -= np.outer(xm, slope)
 
     g = MixedGraph(names, "weighted-dag")
     pruned = 0
@@ -126,9 +116,7 @@ def direct_lingam(dataset, cfg=None, bk=None, record=None):
         if not preds:
             continue
         a = np.column_stack([col[u] for u in preds])
-        b, _, rank, _ = np.linalg.lstsq(a, col[v], rcond=None)
-        if rank < len(preds):
-            raise DiscoveryError(f"rank-deficient regression of {v} on {preds}")
+        b = np.linalg.lstsq(a, col[v], rcond=None)[0]
         for u, w in zip(preds, b):
             if abs(w) >= cfg.prune_threshold or bk.is_required(u, v):
                 g.add_directed(u, v, weight=float(w))

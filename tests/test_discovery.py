@@ -20,10 +20,12 @@ from causalpath.discovery import (
     pc,
     run_discovery,
 )
+from causalpath.discovery.lingam import _exogeneity
 from causalpath.score import BicScorer, ScoreError
 from causalpath.simulate import ScmSpec, discretize, random_dag, random_scm, sample_scm
 
-from oracles import build_dag, enumerate_dags, exhaustive_best_dag, oracle_ci
+from oracles import (build_dag, enumerate_dags, exhaustive_best_dag, lingam_order,
+                     lingam_pairwise_scores, oracle_ci)
 
 
 class MarginalOracle:
@@ -262,6 +264,26 @@ class TestFges:
         assert np.isfinite(rec["total_score"])
         assert rec["empty_score"] - 1e-9 <= rec["total_score"] <= max(admissible) + 1e-9
 
+    def test_near_tied_insert_goes_to_smaller_pair(self):
+        # the empty-set inserts x -> y and y -> x tie in exact arithmetic;
+        # a 1e-13 relative nudge to y -> x must not decide between them
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(1000)
+        d = Dataset([VariableSchema(v, "continuous") for v in "xy"],
+                    np.column_stack([x, 0.6 * x + rng.standard_normal(1000)]))
+        corr = pearson_matrix(d)
+        plain = BicScorer(corr)
+        shift = 1e-13 * abs(plain.local_score("x", {"y"}) - plain.local_score("x", ()))
+
+        class Nudged(BicScorer):
+            def local_score(self, node, parents=()):
+                s = super().local_score(node, parents)
+                return s + shift if (node, set(parents)) == ("x", {"y"}) else s
+
+        rec = {}
+        fges(Nudged(corr), record=rec)
+        assert [(op["x"], op["y"]) for op in rec["trace"]] == [("x", "y")]
+
     def test_forbidden_pair_never_inserted(self):
         g = MixedGraph(["a", "b"], "dag")
         g.add_directed("a", "b")
@@ -352,6 +374,61 @@ class TestDirectLingam:
         spec = chain_scm(4, "laplace", 12)
         d = sample_scm(spec, 3000)
         assert direct_lingam(d) == direct_lingam(d)
+
+    @pytest.mark.parametrize("noise", ["uniform", "laplace"])
+    @pytest.mark.parametrize("r,n", [(2, 40000), (5, 6000), (12, 2000)])
+    def test_exogeneity_matches_scalar_oracle(self, noise, r, n):
+        # n is large enough that the kernel builds its residuals in 2-3 blocks
+        rng = np.random.default_rng(r * 7 + len(noise))
+        e = rng.uniform(-1, 1, (n, r)) if noise == "uniform" else rng.laplace(size=(n, r))
+        mix = np.tril(rng.uniform(-1, 1, (r, r)), -1) + np.eye(r)
+        w = e @ mix.T
+        w -= w.mean(axis=0)
+        expected = lingam_pairwise_scores(list(w.T))
+        assert np.count_nonzero(expected) > 0
+        np.testing.assert_allclose(_exogeneity(w), expected, rtol=1e-9, atol=0)
+
+    def test_order_matches_scalar_oracle_with_knowledge(self):
+        rng = np.random.default_rng(808)
+        for seed in range(12):
+            p = int(rng.integers(3, 8))
+            spec = random_scm(p, 0.5, 900 + seed, noise=["uniform", "laplace"][seed % 2])
+            d = sample_scm(spec, 1500)
+            perm = list(rng.permutation(sorted(d.names)))
+            cut = sorted(rng.choice(np.arange(1, p), size=2, replace=False))
+            tiers = [perm[:cut[0]], perm[cut[0]:cut[1]], perm[cut[1]:]]
+            required = [(perm[i], perm[j]) for i in range(p) for j in range(i + 1, p)
+                        if rng.random() < 0.25]
+            bk = BackgroundKnowledge(tiers=tiers, required=required)
+            rec = {}
+            direct_lingam(d, bk=bk, record=rec)
+            assert rec["causal_order"] == lingam_order(d, bk), seed
+
+    def test_required_edges_against_the_data(self):
+        spec = chain_scm(3, "uniform", 3)  # X00 -> X01 -> X02
+        d = sample_scm(spec, 5000)
+        rec = {}
+        direct_lingam(d, record=rec)
+        assert rec["causal_order"] == ["X00", "X01", "X02"]
+        bk = BackgroundKnowledge(required=[("X02", "X01"), ("X01", "X00")])
+        direct_lingam(d, bk=bk, record=rec)
+        assert rec["causal_order"] == ["X02", "X01", "X00"]
+
+    @pytest.mark.parametrize("kind", ["constant", "duplicate", "scaled-copy"])
+    @pytest.mark.parametrize("name", ["a", "z"])
+    def test_refuses_rank_deficient_columns(self, name, kind):
+        rng = np.random.default_rng(17)
+        b = rng.uniform(-1, 1, 500)
+        c = 0.7 * b + rng.uniform(-1, 1, 500)
+        extra = {"constant": np.full(500, 2.0), "duplicate": b, "scaled-copy": 3.0 * b}[kind]
+        schema = [VariableSchema(v, "continuous") for v in ("b", "c", name)]
+        with pytest.raises(DiscoveryError, match="rank"):
+            direct_lingam(Dataset(schema, np.column_stack([b, c, extra])))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_refuses_too_few_rows(self, n):
+        with pytest.raises(DiscoveryError):
+            direct_lingam(independent_dataset(4, n, 5))
 
 
 class TestRunDiscovery:
