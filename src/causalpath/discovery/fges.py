@@ -6,13 +6,32 @@ every accepted operator the graph is rebuilt as a pattern (consistent
 extension -> CPDAG -> knowledge orientation -> Meek closure), which reduces
 to the textbook rebuild when no knowledge is given.
 
+The forward phase keeps its operators between steps (Ramsey et al. 2017).
+The gain of Insert(x, y, T) depends only on the local state of the pair:
+whether x and y are adjacent, pa(y), the undirected neighbours of y, and
+which of those x is adjacent to. `_InsertCache` keeps, for each pair, every
+T that knowledge admits and that gains more than the phase's stop, and
+recomputes a pair only when its local state changed. The two validity
+checks (NaT is a clique; no semi-directed path from y to x avoids NaT)
+depend on the whole graph, so they are never cached. The search walks the
+cached operators in the order a full scan visits them, under the same
+tie rule, and runs the checks only for an operator that would beat the best
+so far. An operator that would not win leaves a full scan's answer as it
+is, valid or not, and one at or below the stop cannot beat one above it, so
+the cached search picks the operator, with the delta, that a scan of every
+pair and subset picks.
+
 Knowledge enters as hard operator admissibility: forbidden directions are
 never inserted, required edges seed the initial graph and are never deleted.
+An operator whose regression the scorer refuses is skipped, and logged once
+per operator and parent set; one whose result has no consistent extension
+is skipped at that graph. The run record counts both.
 """
 from __future__ import annotations
 
 import logging
 import time
+from functools import partial
 from itertools import combinations
 
 from ..graph import (MixedGraph, NoExtensionError, _bk, apply_meek_rules,
@@ -23,6 +42,7 @@ from .common import DiscoveryConfig, as_scorer, finish_record, orient_by_knowled
 logger = logging.getLogger(__name__)
 
 _TIE_RTOL = 1e-12
+_MIN_GAIN = 1e-9  # a phase stops when no operator gains more
 
 
 def _subsets(items):
@@ -61,6 +81,20 @@ def _better(delta, key, best):
     return delta > best[0]
 
 
+def _gain(scorer, op, x, y, extra, base, refused):
+    """Score change of y when x joins the parent set `base`, or None when the
+    scorer refuses either regression. A refusal is logged once per
+    (operator, base) and kept in `refused`."""
+    try:
+        return scorer.local_score(y, base | {x}) - scorer.local_score(y, base)
+    except ScoreError as err:
+        key = (op, x, y, extra, base)
+        if key not in refused:
+            refused.add(key)
+            logger.warning("fges %s(%s, %s, %s) skipped: %s", op, x, y, extra, err)
+        return None
+
+
 def _rebuild(g, bk, conflicts):
     dag = consistent_extension(g)
     c = cpdag_of(dag)
@@ -70,36 +104,60 @@ def _rebuild(g, bk, conflicts):
     return c
 
 
-def _best_insert(g, scorer, bk, skip):
-    best = None
-    nodes = sorted(g.nodes)
-    for y in nodes:
-        pa_y = set(g.parents(y))
-        nb_y = g.undirected_neighbors(y)
-        for x in nodes:
-            if x == y or g.has_edge(x, y) or bk.is_forbidden(x, y):
+class _InsertCache:
+    """The forward phase's insert operators, kept per pair across steps."""
+
+    def __init__(self, scorer, bk, refused):
+        self.scorer = scorer
+        self.bk = bk
+        self.refused = refused
+        self.nodes = sorted(scorer.names)
+        self.state = {}  # (y, x) -> the local state its operators were computed in
+        self.ops = {}    # (y, x) -> [(delta, T, NaT)] in subset order
+
+    def refresh(self, g):
+        """Recompute each pair (x, y) whose local state changed: x adjacent
+        to y, pa(y), the undirected neighbours of y, and which of those x is
+        adjacent to."""
+        adj = {v: frozenset(g.adjacent(v)) for v in self.nodes}
+        for y in self.nodes:
+            pa_y = frozenset(g.parents(y))
+            nb_y = frozenset(g.undirected_neighbors(y))
+            for x in self.nodes:
+                if x == y:
+                    continue
+                state = (y in adj[x], pa_y, nb_y, nb_y & adj[x])
+                if self.state.get((y, x)) != state:
+                    self.state[y, x] = state
+                    self.ops[y, x] = self._pair_ops(x, y, *state)
+
+    def _pair_ops(self, x, y, adjacent, pa_y, nb_y, na):
+        """The operators of pair (x, y), a function of its local state only."""
+        if adjacent or self.bk.is_forbidden(x, y):
+            return []
+        ops = []
+        for T in _subsets(nb_y - na):
+            if any(self.bk.is_forbidden(t, y) for t in T):
                 continue
-            na = {t for t in nb_y if g.has_edge(t, x)}
-            t0 = [t for t in nb_y if not g.has_edge(t, x)]
-            for T in _subsets(t0):
-                if ("insert", x, y, T) in skip:
-                    continue
-                if any(bk.is_forbidden(t, y) for t in T):
-                    continue
-                nat = na | set(T)
-                if not _is_clique(g, nat):
-                    continue
-                if _semidirected_reachable(g, y, x, nat):
-                    continue
-                base = frozenset(nat | pa_y)
-                try:
-                    delta = scorer.local_score(y, base | {x}) - scorer.local_score(y, base)
-                except ScoreError as err:
-                    logger.warning("fges insert %s->%s skipped: %s", x, y, err)
-                    continue
-                if _better(delta, (x, y, T), best):
-                    best = (delta, x, y, T)
-    return best
+            nat = na.union(T)
+            delta = _gain(self.scorer, "insert", x, y, T, nat | pa_y, self.refused)
+            if delta is not None and delta > _MIN_GAIN:
+                ops.append((delta, T, nat))
+        return ops
+
+    def best(self, g, skip):
+        """The best valid insert into g that is not in `skip`, as
+        (delta, x, y, T), or None when none gains more than _MIN_GAIN."""
+        self.refresh(g)
+        best = None
+        for y in self.nodes:
+            for x in self.nodes:
+                for delta, T, nat in self.ops.get((y, x), ()):
+                    if (_better(delta, (x, y, T), best) and ("insert", x, y, T) not in skip
+                            and _is_clique(g, nat)
+                            and not _semidirected_reachable(g, y, x, nat)):
+                        best = (delta, x, y, T)
+        return best
 
 
 def _apply_insert(g, x, y, T):
@@ -110,7 +168,7 @@ def _apply_insert(g, x, y, T):
     return out
 
 
-def _best_delete(g, scorer, bk, skip):
+def _best_delete(scorer, bk, refused, g, skip):
     best = None
     nodes = sorted(g.nodes)
     for y in nodes:
@@ -133,14 +191,9 @@ def _best_delete(g, scorer, bk, skip):
                 rest = set(h0) - set(H)
                 if not _is_clique(g, rest):
                     continue
-                base = frozenset(rest | (pa_y - {x}))
-                try:
-                    delta = scorer.local_score(y, base) - scorer.local_score(y, base | {x})
-                except ScoreError as err:
-                    logger.warning("fges delete %s-%s skipped: %s", x, y, err)
-                    continue
-                if _better(delta, (x, y, H), best):
-                    best = (delta, x, y, H)
+                gain = _gain(scorer, "delete", x, y, H, frozenset(rest | (pa_y - {x})), refused)
+                if gain is not None and _better(-gain, (x, y, H), best):
+                    best = (-gain, x, y, H)
     return best
 
 
@@ -158,8 +211,9 @@ def _apply_delete(g, x, y, H):
 def fges(source, cfg=None, bk=None, record=None):
     """Run greedy equivalence search; returns a CPDAG.
 
-    The run record carries the total score, the empty-graph score, and the
-    per-operator trace.
+    The run record carries the total score, the empty-graph score, the
+    per-operator trace and the number of operators skipped because the
+    scorer refused a regression or the result had no consistent extension.
     """
     cfg = cfg or DiscoveryConfig()
     bk = _bk(bk)
@@ -176,15 +230,17 @@ def fges(source, cfg=None, bk=None, record=None):
 
     empty_score = sum(scorer.local_score(v, ()) for v in nodes)
     trace = []
+    refused = set()
+    inextensible = 0
 
     for phase, finder, applier in (
-        ("insert", _best_insert, _apply_insert),
-        ("delete", _best_delete, _apply_delete),
+        ("insert", _InsertCache(scorer, bk, refused).best, _apply_insert),
+        ("delete", partial(_best_delete, scorer, bk, refused), _apply_delete),
     ):
         skip = set()
         while True:
-            best = finder(g, scorer, bk, skip)
-            if best is None or best[0] <= 1e-9:
+            best = finder(g, skip)
+            if best is None or best[0] <= _MIN_GAIN:
                 break
             delta, x, y, extra = best
             try:
@@ -192,6 +248,7 @@ def fges(source, cfg=None, bk=None, record=None):
             except NoExtensionError as err:
                 logger.warning("fges %s(%s, %s, %s) produced an inextensible pattern: %s",
                                phase, x, y, extra, err)
+                inextensible += 1
                 skip.add((phase, x, y, extra))
                 continue
             skip.clear()
@@ -203,6 +260,8 @@ def fges(source, cfg=None, bk=None, record=None):
                   total_score=float(total),
                   empty_score=float(empty_score),
                   score_evaluations=scorer.evaluations,
+                  skipped_score_error=len(refused),
+                  skipped_inextensible=inextensible,
                   trace=trace,
                   conflicts=conflicts)
     return g

@@ -5,9 +5,10 @@ pairwise dependence between each variable and the residuals of regressing
 the others on it (maximum-entropy approximation with log-cosh and
 Gaussian-moment contrasts; Hyvarinen & Smith 2013). One kernel scores all
 remaining variables, building the residuals in blocks of `_BLOCK_BYTES`. A
-variable waits until its required parents are placed, and data of deficient
-rank is refused. Coefficients are then fitted by least squares along the
-order and pruned at a fixed magnitude threshold.
+variable waits until every variable of an earlier tier and its required
+parents are placed, and data of deficient rank is refused. Coefficients are
+then fitted by least squares along the order and pruned at a fixed magnitude
+threshold.
 """
 from __future__ import annotations
 
@@ -70,8 +71,9 @@ def direct_lingam(dataset, cfg=None, bk=None, record=None):
 
     Ties in the independence measure break lexicographically, so the output
     is deterministic. Background knowledge restricts the candidate exogenous
-    set (a variable waits until its required parents are placed) and
-    forbidden directions are excluded from the coefficient regressions.
+    set (a variable waits until every variable of an earlier tier and its
+    required parents are placed) and forbidden directions are excluded from
+    the coefficient regressions.
     Data whose centered columns are not linearly independent (a constant or
     collinear column, or n <= p) raise `DiscoveryError`.
     """
@@ -91,11 +93,14 @@ def direct_lingam(dataset, cfg=None, bk=None, record=None):
         raise DiscoveryError(f"centered data has rank {rank} < p = {p} (n = {n}): "
                              "a constant or collinear column, or too few rows")
 
+    tier = {v: i for i, members in enumerate(bk.tiers) for v in members}
     order = []
     remaining = list(names)
     while remaining:
-        cands = [v for v in remaining
-                 if not any(bk.is_required(u, v) for u in remaining)] or remaining
+        # the earliest tier left; a variable outside every tier never waits
+        first = min((tier[v] for v in remaining if v in tier), default=None)
+        cands = [v for v in remaining if tier.get(v, first) == first
+                 and not any(bk.is_required(u, v) for u in remaining)] or remaining
         if len(cands) == 1:
             m = cands[0]
         else:

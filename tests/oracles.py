@@ -6,12 +6,18 @@ are checked against a second, unrelated derivation.
 """
 from __future__ import annotations
 
+import logging
 from itertools import combinations, product
 
 import numpy as np
 
+from causalpath.discovery.fges import (_better, _is_clique, _semidirected_reachable,
+                                       _subsets)
 from causalpath.graph import ARROW, TAIL, MixedGraph, d_separated
 from causalpath.independence import CiTestResult
+from causalpath.score import ScoreError
+
+logger = logging.getLogger(__name__)
 
 
 class OracleCI:
@@ -302,9 +308,17 @@ def lingam_pairwise_scores(columns):
 
 def lingam_order(dataset, bk):
     """DirectLiNGAM's causal order by the scalar measure. A variable is a
-    candidate once none of its required ancestors (the transitive closure of
-    the required edges) is left; ties go to the smaller name."""
+    candidate once no variable of a strictly earlier tier and none of its
+    required ancestors (the transitive closure of the required edges) is
+    left; ties go to the smaller name."""
     names = sorted(dataset.names)
+    rank = {}
+    for i, members in enumerate(bk.tiers):
+        rank.update(dict.fromkeys(members, i))
+
+    def earlier(u, v):
+        return u in rank and v in rank and rank[u] < rank[v]
+
     anc = {v: set() for v in names}
     changed = True
     while changed:
@@ -316,7 +330,8 @@ def lingam_order(dataset, bk):
     work = {v: dataset.column(v) - dataset.column(v).mean() for v in names}
     order, remaining = [], list(names)
     while remaining:
-        cands = [v for v in remaining if not anc[v] & set(remaining)] or remaining
+        cands = [v for v in remaining if not anc[v] & set(remaining)
+                 and not any(earlier(u, v) for u in remaining)] or remaining
         scores = dict(zip(remaining, lingam_pairwise_scores([work[v] for v in remaining])))
         m = min(cands, key=lambda v: (scores[v], v))
         order.append(m)
@@ -324,3 +339,40 @@ def lingam_order(dataset, bk):
         for v in remaining:
             work[v] = _lingam_residual(work[v], work[m])
     return order
+
+
+# -- FGES: the forward step as a full scan of every pair and subset ----------
+
+def fges_best_insert_scan(g, scorer, bk, skip):
+    """The best valid Insert(x, y, T) into the CPDAG g as (delta, x, y, T),
+    found by checking and scoring every pair and every subset T in
+    (y, x, T) order; None when no operator is valid."""
+    best = None
+    nodes = sorted(g.nodes)
+    for y in nodes:
+        pa_y = set(g.parents(y))
+        nb_y = g.undirected_neighbors(y)
+        for x in nodes:
+            if x == y or g.has_edge(x, y) or bk.is_forbidden(x, y):
+                continue
+            na = {t for t in nb_y if g.has_edge(t, x)}
+            t0 = [t for t in nb_y if not g.has_edge(t, x)]
+            for T in _subsets(t0):
+                if ("insert", x, y, T) in skip:
+                    continue
+                if any(bk.is_forbidden(t, y) for t in T):
+                    continue
+                nat = na | set(T)
+                if not _is_clique(g, nat):
+                    continue
+                if _semidirected_reachable(g, y, x, nat):
+                    continue
+                base = frozenset(nat | pa_y)
+                try:
+                    delta = scorer.local_score(y, base | {x}) - scorer.local_score(y, base)
+                except ScoreError as err:
+                    logger.warning("fges insert %s->%s skipped: %s", x, y, err)
+                    continue
+                if _better(delta, (x, y, T), best):
+                    best = (delta, x, y, T)
+    return best

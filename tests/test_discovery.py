@@ -20,12 +20,13 @@ from causalpath.discovery import (
     pc,
     run_discovery,
 )
+from causalpath.discovery.fges import _InsertCache
 from causalpath.discovery.lingam import _exogeneity
 from causalpath.score import BicScorer, ScoreError
 from causalpath.simulate import ScmSpec, discretize, random_dag, random_scm, sample_scm
 
-from oracles import (build_dag, enumerate_dags, exhaustive_best_dag, lingam_order,
-                     lingam_pairwise_scores, oracle_ci)
+from oracles import (build_dag, enumerate_dags, exhaustive_best_dag, fges_best_insert_scan,
+                     lingam_order, lingam_pairwise_scores, oracle_ci)
 
 
 class MarginalOracle:
@@ -56,6 +57,51 @@ def chain_scm(p, noise, seed, lo=0.4, hi=0.9):
         g.add_directed(nodes[i], nodes[i + 1])
         weights[(nodes[i], nodes[i + 1])] = w
     return ScmSpec(g, weights, {v: (noise, 1.0) for v in nodes}, seed=seed)
+
+
+def survey_total(caused_by_a=False):
+    """A, B and their total T = A + B: regressing any of the three on the
+    other two is singular. Optionally a fourth column C = 0.7 A + noise."""
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((2, 500))
+    cols = [a, b, a + b]
+    if caused_by_a:
+        cols.append(0.7 * a + rng.standard_normal(500))
+    return Dataset([VariableSchema(v, "continuous") for v in "ABTC"[:len(cols)]],
+                   np.column_stack(cols))
+
+
+def near_tie_scorer():
+    """Two columns whose empty-set inserts x -> y and y -> x tie in exact
+    arithmetic, with y -> x nudged up by a relative 1e-13."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(1000)
+    d = Dataset([VariableSchema(v, "continuous") for v in "xy"],
+                np.column_stack([x, 0.6 * x + rng.standard_normal(1000)]))
+    corr = pearson_matrix(d)
+    plain = BicScorer(corr)
+    shift = 1e-13 * abs(plain.local_score("x", {"y"}) - plain.local_score("x", ()))
+
+    class Nudged(BicScorer):
+        def local_score(self, node, parents=()):
+            s = super().local_score(node, parents)
+            return s + shift if (node, set(parents)) == ("x", {"y"}) else s
+
+    return Nudged(corr)
+
+
+def random_knowledge(names, rng):
+    """Tiers from a random permutation, required edges along it and random
+    forbidden pairs, each present or not at random."""
+    perm = [str(v) for v in rng.permutation(sorted(names))]
+    p = len(perm)
+    cut = sorted(rng.choice(np.arange(1, p), size=2, replace=False))
+    tiers = [perm[:cut[0]], perm[cut[0]:cut[1]], perm[cut[1]:]] if rng.random() < 0.7 else []
+    required = [(perm[i], perm[j]) for i in range(p) for j in range(i + 1, p)
+                if rng.random() < 0.08]
+    forbidden = [(a, b) for a in perm for b in perm
+                 if a != b and (a, b) not in required and rng.random() < 0.08]
+    return BackgroundKnowledge(tiers=tiers, forbidden=forbidden, required=required)
 
 
 class TestPc:
@@ -243,10 +289,7 @@ class TestFges:
     def test_singular_regression_raises_and_is_skipped(self, caplog):
         # a survey total T = A + B: regressing any of the three on the other
         # two is singular, and its residual variance is rounding noise
-        rng = np.random.default_rng(0)
-        a, b = rng.standard_normal((2, 500))
-        d = Dataset([VariableSchema(v, "continuous") for v in "ABT"],
-                    np.column_stack([a, b, a + b]))
+        d = survey_total()
         corr = pearson_matrix(d)
         scorer = BicScorer(corr)
         with pytest.raises(ScoreError, match="singular"):
@@ -255,6 +298,8 @@ class TestFges:
         with caplog.at_level(logging.WARNING, logger="causalpath.discovery.fges"):
             fges(corr, record=rec)
         assert any("skipped: singular regression" in r.getMessage() for r in caplog.records)
+        assert rec["skipped_score_error"] >= 1
+        assert rec["skipped_inextensible"] == 0
         admissible = []
         for edges in enumerate_dags(d.names):
             try:
@@ -265,24 +310,49 @@ class TestFges:
         assert rec["empty_score"] - 1e-9 <= rec["total_score"] <= max(admissible) + 1e-9
 
     def test_near_tied_insert_goes_to_smaller_pair(self):
-        # the empty-set inserts x -> y and y -> x tie in exact arithmetic;
-        # a 1e-13 relative nudge to y -> x must not decide between them
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(1000)
-        d = Dataset([VariableSchema(v, "continuous") for v in "xy"],
-                    np.column_stack([x, 0.6 * x + rng.standard_normal(1000)]))
-        corr = pearson_matrix(d)
-        plain = BicScorer(corr)
-        shift = 1e-13 * abs(plain.local_score("x", {"y"}) - plain.local_score("x", ()))
-
-        class Nudged(BicScorer):
-            def local_score(self, node, parents=()):
-                s = super().local_score(node, parents)
-                return s + shift if (node, set(parents)) == ("x", {"y"}) else s
-
+        # a 1e-13 relative nudge to y -> x must not decide between the tied
+        # inserts
         rec = {}
-        fges(Nudged(corr), record=rec)
+        fges(near_tie_scorer(), record=rec)
         assert [(op["x"], op["y"]) for op in rec["trace"]] == [("x", "y")]
+
+    def test_refused_operator_logged_once(self, caplog):
+        # the refused insert B -> A is computed again, with the same parent
+        # set, once C is adjacent to A; it is logged and counted once
+        rec = {}
+        with caplog.at_level(logging.WARNING, logger="causalpath.discovery.fges"):
+            fges(pearson_matrix(survey_total(caused_by_a=True)), record=rec)
+        logged = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+        assert logged and len(set(logged)) == len(logged) == rec["skipped_score_error"]
+
+    def test_cached_insert_matches_full_scan(self, monkeypatch):
+        # every forward step of whole runs picks the operator a scan of every
+        # pair and subset picks; the scan's sub-threshold best means "stop"
+        cached = _InsertCache.best
+        steps = []
+
+        def checked(self, g, skip):
+            got = cached(self, g, skip)
+            want = fges_best_insert_scan(g, self.scorer, self.bk, skip)
+            assert got == (want if want is not None and want[0] > 1e-9 else None)
+            steps.append(got)
+            return got
+
+        monkeypatch.setattr(_InsertCache, "best", checked)
+        rng = np.random.default_rng(2017)
+        runs = [(near_tie_scorer(), None), (pearson_matrix(survey_total(caused_by_a=True)), None)]
+        for seed in range(30):
+            p = int(rng.integers(5, 11))
+            d = sample_scm(random_scm(p, float(rng.uniform(0.2, 0.5)), 1100 + seed),
+                           int(rng.integers(300, 2000)))
+            runs.append((pearson_matrix(d), random_knowledge(d.names, rng) if seed % 3 else None))
+        for source, bk in runs:
+            rec = {}
+            fges(source, bk=bk, record=rec)
+            inserts = sum(op["op"] == "insert" for op in rec["trace"])
+            assert steps[-1] is None
+            assert len(steps) == inserts + rec["skipped_inextensible"] + 1
+            steps.clear()
 
     def test_forbidden_pair_never_inserted(self):
         g = MixedGraph(["a", "b"], "dag")
@@ -413,6 +483,15 @@ class TestDirectLingam:
         bk = BackgroundKnowledge(required=[("X02", "X01"), ("X01", "X00")])
         direct_lingam(d, bk=bk, record=rec)
         assert rec["causal_order"] == ["X02", "X01", "X00"]
+
+    def test_tiers_order_the_variables(self):
+        # the data order X00, X01, X02; the tiers put X02 first and X00 last
+        d = sample_scm(chain_scm(3, "uniform", 3), 5000)
+        bk = BackgroundKnowledge(tiers=[["X02"], ["X01"], ["X00"]])
+        rec = {}
+        out = direct_lingam(d, bk=bk, record=rec)
+        assert rec["causal_order"] == ["X02", "X01", "X00"]
+        assert knowledge_violations(out, bk) == []
 
     @pytest.mark.parametrize("kind", ["constant", "duplicate", "scaled-copy"])
     @pytest.mark.parametrize("name", ["a", "z"])
