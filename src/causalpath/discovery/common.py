@@ -1,6 +1,6 @@
 """Shared machinery for the discovery algorithms: configuration, input
-normalization, the order-independent skeleton phase, and knowledge-aware
-orientation helpers."""
+normalization, the order-independent skeleton phase and collider triples.
+Orientation lives in `graph.close_pattern`."""
 from __future__ import annotations
 
 import time
@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from ..data import CorrelationMatrix, Dataset, pearson_matrix
-from ..graph import TAIL, MixedGraph, report
+from ..graph import MixedGraph
 from ..independence import FisherZTest
 from ..score import BicScorer
 
@@ -103,32 +103,6 @@ def separate(g, tester, x, y, sets, sepsets):
     return False
 
 
-def orient_by_knowledge(g, bk, conflicts):
-    """Orient undirected edges forced by required/forbidden pairs or tiers.
-
-    A pair forbidden in both directions that survived the skeleton stays
-    undirected and is reported as a conflict.
-    """
-    if bk.is_empty():
-        return
-    for a, b, ma, mb in g.edges():
-        if (ma, mb) != (TAIL, TAIL):
-            continue
-        req_ab, req_ba = bk.is_required(a, b), bk.is_required(b, a)
-        forb_ab, forb_ba = bk.is_forbidden(a, b), bk.is_forbidden(b, a)
-        if req_ab:
-            g.orient(a, b)
-        elif req_ba:
-            g.orient(b, a)
-        elif forb_ab and forb_ba:
-            report(conflicts, f"edge {a}-{b} is forbidden in both directions "
-                              "but survived the tests")
-        elif forb_ab:
-            g.orient(b, a)
-        elif forb_ba:
-            g.orient(a, b)
-
-
 def collider_triples(g, sepsets):
     """Unshielded triples (x, z, y), x - z - y with x and y nonadjacent, whose
     recorded separating set of x and y leaves out z."""
@@ -137,21 +111,6 @@ def collider_triples(g, sepsets):
             key = frozenset((x, y))
             if not g.has_edge(x, y) and key in sepsets and z not in sepsets[key]:
                 yield x, z, y
-
-
-def orient_colliders(g, sepsets, bk, conflicts):
-    """Orient each collider triple x - z - y as x -> z <- y, one arrowhead at
-    a time under knowledge/conflict guards."""
-    for x, z, y in collider_triples(g, sepsets):
-        for u in (x, y):
-            if g.is_directed(u, z):
-                continue
-            if g.is_directed(z, u):
-                report(conflicts, f"collider {x}->{z}<-{y}: conflicts with existing {z}->{u}")
-            elif bk.is_forbidden(u, z):
-                report(conflicts, f"collider arrowhead {u}->{z} forbidden by knowledge; skipped")
-            else:
-                g.orient(u, z)
 
 
 def finish_record(record, algorithm, cfg, bk, graph, started, **extra):

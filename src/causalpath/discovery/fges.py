@@ -2,9 +2,10 @@
 
 Forward phase: repeatedly apply the best score-improving Insert operator;
 backward phase: the best Delete operator; both to a local maximum. After
-every accepted operator the graph is rebuilt as a pattern (consistent
-extension -> CPDAG -> knowledge orientation -> Meek closure), which reduces
-to the textbook rebuild when no knowledge is given.
+every accepted operator the graph is rebuilt as
+`cpdag_of(consistent_extension(g), bk, conflicts)`: the textbook rebuild
+(Chickering 2002) with knowledge applied as in PC, by `close_pattern`, before
+the v-structures and a single Meek closure.
 
 The forward phase keeps its operators between steps (Ramsey et al. 2017).
 The gain of Insert(x, y, T) depends only on the local state of the pair:
@@ -34,10 +35,9 @@ import time
 from functools import partial
 from itertools import combinations
 
-from ..graph import (MixedGraph, NoExtensionError, _bk, apply_meek_rules,
-                     consistent_extension, cpdag_of)
+from ..graph import MixedGraph, NoExtensionError, _bk, consistent_extension, cpdag_of
 from ..score import ScoreError
-from .common import DiscoveryConfig, as_scorer, finish_record, orient_by_knowledge
+from .common import DiscoveryConfig, as_scorer, finish_record
 
 logger = logging.getLogger(__name__)
 
@@ -93,15 +93,6 @@ def _gain(scorer, op, x, y, extra, base, refused):
             refused.add(key)
             logger.warning("fges %s(%s, %s, %s) skipped: %s", op, x, y, extra, err)
         return None
-
-
-def _rebuild(g, bk, conflicts):
-    dag = consistent_extension(g)
-    c = cpdag_of(dag)
-    if not bk.is_empty():
-        orient_by_knowledge(c, bk, conflicts)
-        c = apply_meek_rules(c, bk, conflicts)
-    return c
 
 
 class _InsertCache:
@@ -226,7 +217,7 @@ def fges(source, cfg=None, bk=None, record=None):
     for a, b in sorted(bk.required):
         g.add_directed(a, b)
     if bk.required:
-        g = _rebuild(g, bk, conflicts)
+        g = cpdag_of(consistent_extension(g), bk, conflicts)
 
     empty_score = sum(scorer.local_score(v, ()) for v in nodes)
     trace = []
@@ -244,7 +235,7 @@ def fges(source, cfg=None, bk=None, record=None):
                 break
             delta, x, y, extra = best
             try:
-                g = _rebuild(applier(g, x, y, extra), bk, conflicts)
+                g = cpdag_of(consistent_extension(applier(g, x, y, extra)), bk, conflicts)
             except NoExtensionError as err:
                 logger.warning("fges %s(%s, %s, %s) produced an inextensible pattern: %s",
                                phase, x, y, extra, err)
@@ -255,7 +246,7 @@ def fges(source, cfg=None, bk=None, record=None):
             trace.append({"op": phase, "x": x, "y": y, "set": list(extra),
                           "delta": float(delta)})
 
-    total = scorer.score_class(g)
+    total = scorer.score_dag(consistent_extension(g))
     finish_record(record, "fges", cfg, bk, g, started,
                   total_score=float(total),
                   empty_score=float(empty_score),

@@ -1,24 +1,17 @@
 """PC-stable: constraint-based search for a CPDAG.
 
 Skeleton deletions within each depth level consult the level-start adjacency
-sets, so the output does not depend on variable order. Collider orientation
-uses the recorded separating sets, followed by Meek closure. Background
-knowledge is enforced at the orientation stage; conflicting orientations are
-skipped and reported in the run record.
+sets, so the output does not depend on variable order. Orientation is
+`close_pattern`, the rule FGES uses too: background knowledge first, then the
+colliders the recorded separating sets imply, then Meek closure. Conflicting
+orientations are skipped and reported in the run record.
 """
 from __future__ import annotations
 
 import time
 
-from ..graph import _bk, apply_meek_rules
-from .common import (
-    DiscoveryConfig,
-    as_citester,
-    finish_record,
-    orient_by_knowledge,
-    orient_colliders,
-    stable_skeleton,
-)
+from ..graph import _bk, close_pattern
+from .common import DiscoveryConfig, as_citester, collider_triples, finish_record, stable_skeleton
 
 
 def pc(source, cfg=None, bk=None, record=None):
@@ -33,9 +26,7 @@ def pc(source, cfg=None, bk=None, record=None):
 
     g, sepsets = stable_skeleton(tester, cfg, bk)
     conflicts = []
-    orient_by_knowledge(g, bk, conflicts)
-    orient_colliders(g, sepsets, bk, conflicts)
-    g = apply_meek_rules(g, bk, conflicts)
+    g = close_pattern(g, collider_triples(g, sepsets), bk, conflicts)
 
     finish_record(record, "pc", cfg, bk, g, started,
                   ci_tests=getattr(tester, "calls", None),

@@ -427,16 +427,17 @@ def _would_cycle(g, a, b):
 
 
 def report(conflicts, msg):
-    """Record a skipped orientation in `conflicts` (if a list) and the log."""
+    """Record a skipped orientation in `conflicts` (if a list) and the log,
+    unless `conflicts` already holds it."""
     if conflicts is not None:
+        if msg in conflicts:
+            return
         conflicts.append(msg)
     logger.warning(msg)
 
 
 def _try_orient(g, a, b, bk, conflicts, reason):
-    """Orient a -> b if knowledge and acyclicity allow it; report otherwise."""
-    if g.is_directed(a, b):
-        return False
+    """Orient a - b as a -> b if knowledge and acyclicity allow it; report otherwise."""
     if bk.is_forbidden(a, b):
         report(conflicts, f"{reason}: orientation {a}->{b} forbidden by knowledge; skipped")
         return False
@@ -450,9 +451,10 @@ def _try_orient(g, a, b, bk, conflicts, reason):
 def apply_meek_rules(g, bk=None, conflicts=None):
     """Close a partially directed graph under the four Meek orientation rules.
 
-    Marks must be tail/arrow only. Orientations forbidden by the knowledge
-    are skipped and reported through `conflicts` (a list, if given) and the
-    module logger. Returns a new graph; never removes an orientation.
+    Marks must be tail/arrow only; the edges are swept until none changes.
+    Orientations forbidden by the knowledge are skipped and reported through
+    `conflicts` (a list, if given) and the module logger. Returns a new graph;
+    never removes an orientation.
     """
     bk = _bk(bk)
     for a, b, ma, mb in g.edges():
@@ -462,16 +464,11 @@ def apply_meek_rules(g, bk=None, conflicts=None):
     changed = True
     while changed:
         changed = False
-        for a, b, ma, mb in out.edges():
-            if (ma, mb) != (TAIL, TAIL):
-                continue
+        for a, b, _, _ in out.edges():
             for u, v in ((a, b), (b, a)):
-                if _meek_applies(out, u, v):
-                    if _try_orient(out, u, v, bk, conflicts, "meek"):
-                        changed = True
-                        break
-            if changed:
-                break
+                if (out.is_undirected(u, v) and _meek_applies(out, u, v)
+                        and _try_orient(out, u, v, bk, conflicts, "meek")):
+                    changed = True
     return out
 
 
@@ -501,21 +498,68 @@ def _meek_applies(g, a, b):
     return False
 
 
-def cpdag_of(g):
-    """The CPDAG (Markov equivalence class) of a DAG: skeleton, v-structures,
-    then Meek closure."""
-    if not is_dag(g):
+def orient_by_knowledge(g, bk, conflicts):
+    """Orient undirected edges forced by required/forbidden pairs or tiers.
+
+    A pair forbidden in both directions that survived the skeleton stays
+    undirected and is reported as a conflict.
+    """
+    if bk.is_empty():
+        return
+    for a, b, ma, mb in g.edges():
+        if (ma, mb) != (TAIL, TAIL):
+            continue
+        req_ab, req_ba = bk.is_required(a, b), bk.is_required(b, a)
+        forb_ab, forb_ba = bk.is_forbidden(a, b), bk.is_forbidden(b, a)
+        if req_ab:
+            g.orient(a, b)
+        elif req_ba:
+            g.orient(b, a)
+        elif forb_ab and forb_ba:
+            report(conflicts, f"edge {a}-{b} is forbidden in both directions "
+                              "but survived the tests")
+        elif forb_ab:
+            g.orient(b, a)
+        elif forb_ba:
+            g.orient(a, b)
+
+
+def close_pattern(g, colliders, bk=None, conflicts=None):
+    """The pattern rule of PC and FGES: orient what the knowledge forces, then
+    each collider triple (x, z, y) as x -> z <- y one arrowhead at a time,
+    skipping one that meets an existing z -> u or that the knowledge forbids,
+    then close under Meek's rules. Knowledge goes first, so no later step
+    directs an edge against it. Skips are reported as in `apply_meek_rules`.
+    Returns a new graph."""
+    bk = _bk(bk)
+    g = g.copy()
+    orient_by_knowledge(g, bk, conflicts)
+    for x, z, y in colliders:
+        for u in (x, y):
+            if g.is_directed(u, z):
+                continue
+            if g.is_directed(z, u):
+                report(conflicts, f"collider {x}->{z}<-{y}: conflicts with existing {z}->{u}")
+            elif bk.is_forbidden(u, z):
+                report(conflicts, f"collider arrowhead {u}->{z} forbidden by knowledge; skipped")
+            else:
+                g.orient(u, z)
+    return apply_meek_rules(g, bk, conflicts)
+
+
+def cpdag_of(dag, bk=None, conflicts=None):
+    """The CPDAG (Markov equivalence class) of a DAG: `close_pattern` over its
+    skeleton and v-structures. Under knowledge `bk` the result directs no
+    forbidden edge and every required edge of the skeleton, so it may differ
+    from the DAG's own CPDAG; skips are reported through `conflicts`."""
+    if not is_dag(dag):
         raise GraphError("cpdag_of requires a DAG")
-    c = MixedGraph(g.nodes, "cpdag")
-    for a, b, _, _ in g.edges():
+    c = MixedGraph(dag.nodes, "cpdag")
+    for a, b, _, _ in dag.edges():
         c.add_undirected(a, b)
-    for v in sorted(g.nodes):
-        ps = g.parents(v)
-        for x, y in combinations(sorted(ps), 2):
-            if not g.has_edge(x, y):
-                c.orient(x, v)
-                c.orient(y, v)
-    return apply_meek_rules(c)
+    colliders = [(x, v, y) for v in sorted(dag.nodes)
+                 for x, y in combinations(dag.parents(v), 2) if not dag.has_edge(x, y)]
+    return close_pattern(c, colliders, bk, conflicts)
 
 
 def consistent_extension(g):

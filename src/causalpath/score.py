@@ -5,7 +5,9 @@ log-likelihood of its linear regression minus a penalty-discounted BIC term.
 Scores are memoized per (node, parent-set); a cached value always equals its
 recomputation. The residual variance is 1 / precision[0, 0] of the
 node-plus-parents block (`CorrelationMatrix.precision`), so a near-singular
-regression is refused by the rule Fisher-z uses.
+regression is refused by the rule Fisher-z uses. A refusal is memoized too:
+asking again raises a new ScoreError with the same message, so `evaluations`
+counts each (node, parent-set) once.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ class BicScorer:
         self.penalty_discount = penalty_discount
         self.names = list(corr.names)
         self.cache: dict[tuple, float] = {}
+        self.refused: dict[tuple, str] = {}  # key -> the ScoreError message
         self.evaluations = 0
 
     def local_score(self, node, parents=()):
@@ -36,29 +39,29 @@ class BicScorer:
         hit = self.cache.get(key)
         if hit is not None:
             return hit
+        if key in self.refused:
+            raise ScoreError(self.refused[key])
         self.evaluations += 1
         try:
-            p00 = float(self.corr.precision([node, *sorted(key[1])])[0, 0])
+            self.cache[key] = score = self._score(node, sorted(key[1]))
+        except ScoreError as err:
+            self.refused[key] = str(err)
+            raise
+        return score
+
+    def _score(self, node, parents):
+        try:
+            p00 = float(self.corr.precision([node, *parents])[0, 0])
         except SingularConditioningError as err:
-            raise ScoreError(f"singular regression of {node} on {sorted(key[1])}: "
-                             f"{err}") from None
+            raise ScoreError(f"singular regression of {node} on {parents}: {err}") from None
         if p00 <= 0.0:
             raise ScoreError(f"residual variance 1/{p00:.3g} <= 0 for {node} on "
-                             f"{sorted(key[1])}: the correlation matrix is indefinite")
+                             f"{parents}: the correlation matrix is indefinite")
         sigma2 = 1.0 / p00
         n = self.n
         loglik = -0.5 * n * (LOG_2PI + np.log(sigma2) + 1.0)
-        score = 2.0 * loglik - self.penalty_discount * (len(key[1]) + 1) * np.log(n)
-        self.cache[key] = score
-        return score
+        return 2.0 * loglik - self.penalty_discount * (len(parents) + 1) * np.log(n)
 
     def score_dag(self, g):
         """Total score of a DAG: sum of local scores."""
         return sum(self.local_score(v, g.parents(v)) for v in g.nodes)
-
-    def score_class(self, g):
-        """Score of an equivalence class via any consistent extension."""
-        from .graph import consistent_extension, is_dag
-
-        dag = g if is_dag(g) else consistent_extension(g)
-        return self.score_dag(dag)

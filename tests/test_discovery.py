@@ -325,6 +325,25 @@ class TestFges:
         logged = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
         assert logged and len(set(logged)) == len(logged) == rec["skipped_score_error"]
 
+    def test_refused_regression_evaluated_once(self):
+        # a refused (node, parent set) is remembered: asking again raises
+        # the same error without inverting the block again
+        asked = set()
+
+        class Keys(BicScorer):
+            def local_score(self, node, parents=()):
+                asked.add((node, frozenset(parents)))
+                return super().local_score(node, parents)
+
+        scorer = Keys(pearson_matrix(survey_total(caused_by_a=True)))
+        rec = {}
+        fges(scorer, record=rec)
+        assert rec["score_evaluations"] == scorer.evaluations == len(asked)
+        for _ in range(2):
+            with pytest.raises(ScoreError, match=r"singular regression of T on \['A', 'B'\]"):
+                scorer.local_score("T", {"A", "B"})
+        assert scorer.evaluations == len(asked)
+
     def test_cached_insert_matches_full_scan(self, monkeypatch):
         # every forward step of whole runs picks the operator a scan of every
         # pair and subset picks; the scan's sub-threshold best means "stop"

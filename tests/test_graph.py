@@ -249,14 +249,19 @@ class TestMeekRules:
                     assert closed.is_directed(*compelled)
 
     def test_forbidden_orientation_skipped(self):
-        g = MixedGraph(["A", "B", "C"], "cpdag")
+        # rule 1 compels B -> C, which is forbidden, and D -> E, which makes
+        # the rules run again and meet B -> C again: it is reported once
+        g = MixedGraph(["A", "B", "C", "D", "E"], "cpdag")
         g.add_directed("A", "B")
         g.add_undirected("B", "C")
+        g.add_directed("A", "D")
+        g.add_undirected("D", "E")
         bk = BackgroundKnowledge(forbidden=[("B", "C")])
         conflicts = []
         out = apply_meek_rules(g, bk, conflicts)
         assert out.is_undirected("B", "C")
-        assert conflicts
+        assert out.is_directed("D", "E")
+        assert conflicts == ["meek: orientation B->C forbidden by knowledge; skipped"]
 
 
 class TestCpdagOf:
@@ -276,6 +281,35 @@ class TestCpdagOf:
             if count % 7:  # subsample for speed; still covers 78 DAGs
                 continue
             assert cpdag_of(build_dag(nodes, edges)) == cpdag_bruteforce(nodes, edges)
+
+    def test_knowledge_wins_over_compelled_orientation(self):
+        # a -> c <- b compels c -> d by Meek's rule 1, but the tiers put d
+        # before c: the knowledge orients d -> c before any rule runs
+        dag = build_dag(["a", "b", "c", "d"], [("a", "c"), ("b", "c"), ("c", "d")])
+        bk = BackgroundKnowledge(tiers=[["d"], ["a", "b", "c"]])
+        conflicts = []
+        c = cpdag_of(dag, bk, conflicts)
+        assert knowledge_violations(c, bk) == []
+        assert c.directed_edges() == [("a", "c"), ("b", "c"), ("d", "c")]
+        assert conflicts == []
+
+    def test_knowledge_never_broken(self):
+        # random knowledge, independent of the DAG: tiers and required edges
+        # (on the skeleton) along one permutation, random forbidden pairs
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            p = int(rng.integers(3, 9))
+            nodes, edges = random_dag_edges(p, 0.5, rng)
+            perm = [str(v) for v in rng.permutation(nodes)]
+            rank = {v: i for i, v in enumerate(perm)}
+            cut = sorted(rng.choice(np.arange(1, p), size=min(2, p - 1), replace=False))
+            tiers = [perm[i:j] for i, j in zip([0, *cut], [*cut, p])] if rng.random() < 0.7 else []
+            required = [tuple(sorted(e, key=rank.get)) for e in edges if rng.random() < 0.2]
+            forbidden = [(a, b) for a in nodes for b in nodes
+                         if a != b and (a, b) not in required and rng.random() < 0.1]
+            bk = BackgroundKnowledge(tiers, forbidden, required)
+            c = cpdag_of(build_dag(nodes, edges), bk, [])
+            assert knowledge_violations(c, bk) == [], (edges, bk.to_json_dict())
 
     def test_same_cpdag_iff_same_dsep_statements(self):
         # exhaustive over all DAGs on 3 nodes
