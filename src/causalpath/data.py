@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .polychoric import polychoric_pair
 
@@ -363,8 +362,6 @@ def _corr_from_columns(cols, names, method, n):
     m = np.where(np.isfinite(m), m, 0.0)
     m[constant, :] = 0.0
     m[:, constant] = 0.0
-    np.fill_diagonal(m, 1.0)
-    m = np.clip((m + m.T) / 2.0, -1.0, 1.0)
     return CorrelationMatrix(list(names), m, method, n)
 
 
@@ -375,11 +372,18 @@ def pearson_matrix(d):
     return _corr_from_columns(d.values, d.names, "pearson", d.n)
 
 
+def _midranks(x):
+    """Ranks 1..n of x, tied values sharing the mean of their ranks."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (0.5 * (2 * ends - counts + 1))[inverse]
+
+
 def spearman_matrix(d):
     """Rank correlations with midrank ties."""
     if d.n < 3:
         raise DataError("need at least 3 rows")
-    ranks = np.column_stack([rankdata(d.values[:, j]) for j in range(d.p)])
+    ranks = np.column_stack([_midranks(d.values[:, j]) for j in range(d.p)])
     return _corr_from_columns(ranks, d.names, "spearman", d.n)
 
 

@@ -34,26 +34,27 @@ class DiscoveryConfig:
         return asdict(self)
 
 
+def _correlations(source, what):
+    """Pearson correlations of a dataset; a correlation matrix passes through."""
+    if isinstance(source, Dataset):
+        return pearson_matrix(source)
+    if isinstance(source, CorrelationMatrix):
+        return source
+    raise DiscoveryError(f"cannot build {what} from {type(source).__name__}")
+
+
 def as_citester(source, cfg):
     """Normalize a CI-test source: a tester passes through, a correlation
     matrix gets Fisher-z, a dataset gets Fisher-z on Pearson correlations."""
     if callable(source) and hasattr(source, "nodes"):
         return source
-    if isinstance(source, CorrelationMatrix):
-        return FisherZTest(source, cfg.alpha)
-    if isinstance(source, Dataset):
-        return FisherZTest(pearson_matrix(source), cfg.alpha)
-    raise DiscoveryError(f"cannot build a CI test from {type(source).__name__}")
+    return FisherZTest(_correlations(source, "a CI test"), cfg.alpha)
 
 
 def as_scorer(source, cfg):
     if isinstance(source, BicScorer):
         return source
-    if isinstance(source, CorrelationMatrix):
-        return BicScorer(source, cfg.penalty_discount)
-    if isinstance(source, Dataset):
-        return BicScorer(pearson_matrix(source), cfg.penalty_discount)
-    raise DiscoveryError(f"cannot build a scorer from {type(source).__name__}")
+    return BicScorer(_correlations(source, "a scorer"), cfg.penalty_discount)
 
 
 def stable_skeleton(tester, cfg, bk):

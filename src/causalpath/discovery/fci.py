@@ -2,10 +2,13 @@
 
 The skeleton phase is shared with PC-stable; possible-d-separation pruning
 then removes edges that only a non-adjacent conditioning set can separate.
-Marks are reset to circles, unshielded colliders re-oriented, and the
-standard final orientation rules applied to a fixpoint: R1-R3 plus the
-discriminating-path rule. Completeness-grade augmentations (selection-bias
-and tail rules) are intentionally out of scope and noted in run records.
+`_pattern` orients the skeleton before and after that pass, and R1-R3 plus
+the discriminating-path rule then run to a fixpoint. Completeness-grade
+augmentations (selection-bias and tail rules) are out of scope and noted in
+run records. FCI keeps its own knowledge and collider step instead of
+`graph.close_pattern`: in a PAG a forbidden u->v sets only an arrowhead at
+u, and a pair forbidden both ways becomes u<->v, where `close_pattern`
+reports a conflict.
 """
 from __future__ import annotations
 
@@ -15,13 +18,6 @@ from itertools import chain, combinations
 from ..graph import ARROW, CIRCLE, TAIL, MixedGraph, _bk, report
 from .common import (DiscoveryConfig, as_citester, collider_triples, finish_record, separate,
                      stable_skeleton)
-
-
-def _circle_graph(skeleton):
-    pag = MixedGraph(skeleton.nodes, "pag")
-    for a, b, _, _ in skeleton.edges():
-        pag.add_edge(a, b, CIRCLE, CIRCLE)
-    return pag
 
 
 def _set_mark(pag, node, other, mark, conflicts, reason):
@@ -43,10 +39,12 @@ def _orient_directed(pag, a, b, conflicts, reason):
     return tail or arrow
 
 
-def _orient_bk(pag, bk, conflicts):
-    if bk.is_empty():
-        return
-    for a, b, _, _ in pag.edges():
+def _pattern(skeleton, sepsets, bk, conflicts):
+    """The skeleton's edges as o-o, then the marks the knowledge forces, then
+    the arrowheads of the unshielded colliders."""
+    pag = MixedGraph(skeleton.nodes, "pag")
+    for a, b, _, _ in skeleton.edges():
+        pag.add_edge(a, b, CIRCLE, CIRCLE)
         for u, v in ((a, b), (b, a)):
             if bk.is_required(u, v):
                 _orient_directed(pag, u, v, conflicts, "knowledge-required")
@@ -54,12 +52,10 @@ def _orient_bk(pag, bk, conflicts):
             # u may not cause v: arrowhead at u says u is no ancestor of v
             if bk.is_forbidden(u, v) and not bk.is_required(v, u):
                 _set_mark(pag, u, v, ARROW, conflicts, "knowledge-forbidden")
-
-
-def _orient_colliders(pag, sepsets, conflicts):
     for x, z, y in collider_triples(pag, sepsets):
         _set_mark(pag, z, x, ARROW, conflicts, "collider")
         _set_mark(pag, z, y, ARROW, conflicts, "collider")
+    return pag
 
 
 def possible_d_sep(pag, x):
@@ -103,7 +99,7 @@ def _pds_prune(pag, tester, cfg, bk, sepsets):
     return removed
 
 
-def _rule1(pag, conflicts):
+def _rule1(pag, sepsets, conflicts):
     changed = False
     for b in sorted(pag.nodes):
         for a in pag.adjacent(b):
@@ -117,7 +113,7 @@ def _rule1(pag, conflicts):
     return changed
 
 
-def _rule2(pag, conflicts):
+def _rule2(pag, sepsets, conflicts):
     changed = False
     for a in sorted(pag.nodes):
         for c in pag.adjacent(a):
@@ -135,17 +131,15 @@ def _rule2(pag, conflicts):
     return changed
 
 
-def _rule3(pag, conflicts):
+def _rule3(pag, sepsets, conflicts):
     changed = False
     for b in sorted(pag.nodes):
         into_b = [u for u in pag.adjacent(b) if pag.mark_at(b, u) == ARROW]
         for a, c in combinations(sorted(into_b), 2):
             if pag.has_edge(a, c):
                 continue
-            for d in sorted(pag.nodes):
-                if d in (a, b, c):
-                    continue
-                if not (pag.has_edge(a, d) and pag.has_edge(c, d) and pag.has_edge(d, b)):
+            for d in pag.adjacent(b):
+                if d in (a, c) or not (pag.has_edge(a, d) and pag.has_edge(c, d)):
                     continue
                 if pag.mark_at(d, a) != CIRCLE or pag.mark_at(d, c) != CIRCLE:
                     continue
@@ -213,24 +207,13 @@ def fci(source, cfg=None, bk=None, record=None):
     conflicts = []
 
     skeleton, sepsets = stable_skeleton(tester, cfg, bk)
-    pag = _circle_graph(skeleton)
-    _orient_bk(pag, bk, conflicts)
-    _orient_colliders(pag, sepsets, conflicts)
-
+    pag = _pattern(skeleton, sepsets, bk, conflicts)
     pruned = _pds_prune(pag, tester, cfg, bk, sepsets)
-
     # reset to circles and re-orient against the final skeleton/sepsets
-    pag = _circle_graph(pag)
-    _orient_bk(pag, bk, conflicts)
-    _orient_colliders(pag, sepsets, conflicts)
-
+    pag = _pattern(pag, sepsets, bk, conflicts)
     changed = True
-    while changed:
-        changed = False
-        changed |= _rule1(pag, conflicts)
-        changed |= _rule2(pag, conflicts)
-        changed |= _rule3(pag, conflicts)
-        changed |= _rule4(pag, sepsets, conflicts)
+    while changed:  # every rule runs in every round
+        changed = any([rule(pag, sepsets, conflicts) for rule in (_rule1, _rule2, _rule3, _rule4)])
 
     finish_record(record, "fci", cfg, bk, pag, started,
                   ci_tests=getattr(tester, "calls", None),

@@ -93,14 +93,13 @@ def direct_lingam(dataset, cfg=None, bk=None, record=None):
         raise DiscoveryError(f"centered data has rank {rank} < p = {p} (n = {n}): "
                              "a constant or collinear column, or too few rows")
 
-    tier = {v: i for i, members in enumerate(bk.tiers) for v in members}
     order = []
     remaining = list(names)
     while remaining:
-        # the earliest tier left; a variable outside every tier never waits
-        first = min((tier[v] for v in remaining if v in tier), default=None)
-        cands = [v for v in remaining if tier.get(v, first) == first
-                 and not any(bk.is_required(u, v) for u in remaining)] or remaining
+        # a variable outside every tier waits only for its required parents
+        cands = [v for v in remaining
+                 if not any(bk._violates_tiers(v, u) or bk.is_required(u, v)
+                            for u in remaining)] or remaining
         if len(cands) == 1:
             m = cands[0]
         else:

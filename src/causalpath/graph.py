@@ -310,14 +310,7 @@ def d_separated(g, x, y, z=()):
         raise GraphError("x, y must be distinct and disjoint from the conditioning set")
 
     # z together with all its ancestors: the nodes at which a collider is open
-    an_z = set(zset)
-    stack = list(zset)
-    while stack:
-        v = stack.pop()
-        for p in g.parents(v):
-            if p not in an_z:
-                an_z.add(p)
-                stack.append(p)
+    an_z = zset.union(*(g.ancestors(v) for v in zset))
 
     UP, DOWN = 0, 1  # whether the trail arrived from a child (UP) or parent (DOWN)
     visited = set()

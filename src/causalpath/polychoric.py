@@ -13,8 +13,7 @@ import logging
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import ndtr, owens_t
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri, owens_t
 
 logger = logging.getLogger(__name__)
 
@@ -53,7 +52,7 @@ def thresholds_from_counts(counts):
     """Latent thresholds from marginal counts, with +-inf endpoints."""
     n = counts.sum()
     cum = np.cumsum(counts)[:-1] / n
-    inner = norm.ppf(cum)
+    inner = ndtri(cum)
     return np.concatenate(([-np.inf], inner, [np.inf]))
 
 

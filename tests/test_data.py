@@ -1,6 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
+import causalpath
 from causalpath.data import (
     CorrelationMatrix,
     DataError,
@@ -9,6 +15,7 @@ from causalpath.data import (
     SchemaConfig,
     UnmappableCellError,
     VariableSchema,
+    _midranks,
     clean,
     correlation_matrix,
     load_csv,
@@ -185,6 +192,27 @@ class TestSpearman:
         c = spearman_matrix(d)
         assert c.value("v0", "v1") == 0.0
         assert c.matrix[0, 0] == 1.0
+
+    def test_tied_ordinal_midranks_match_rankdata(self):
+        rng = np.random.default_rng(21)
+        x = rng.integers(0, 5, size=(300, 3)).astype(float)
+        x[:, 2] = np.minimum(x[:, 2], 1.0)  # heavily tied binary column
+        for col in (*x.T, np.ones(7), np.array([3.0])):
+            assert np.array_equal(_midranks(col), rankdata(col))
+        ranks = np.column_stack([rankdata(c) for c in x.T])
+        c = spearman_matrix(make_dataset(x, kinds=["ordinal", "ordinal", "binary"]))
+        assert np.allclose(c.matrix, np.corrcoef(ranks, rowvar=False), rtol=0, atol=1e-15)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats dominates import time; the package needs none of it
+    src = str(Path(causalpath.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import causalpath, "
+            "causalpath.data, causalpath.independence, causalpath.score, "
+            "causalpath.discovery, causalpath.simulate; print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestPearson:

@@ -488,10 +488,13 @@ class TestDirectLingam:
             tiers = [perm[:cut[0]], perm[cut[0]:cut[1]], perm[cut[1]:]]
             required = [(perm[i], perm[j]) for i in range(p) for j in range(i + 1, p)
                         if rng.random() < 0.25]
-            bk = BackgroundKnowledge(tiers=tiers, required=required)
-            rec = {}
-            direct_lingam(d, bk=bk, record=rec)
-            assert rec["causal_order"] == lingam_order(d, bk), seed
+            # every variable tiered, then every other one left out of the tiers
+            for untiered in ((), perm[1::2]):
+                kept = [[v for v in t if v not in untiered] for t in tiers]
+                bk = BackgroundKnowledge(tiers=[t for t in kept if t], required=required)
+                rec = {}
+                direct_lingam(d, bk=bk, record=rec)
+                assert rec["causal_order"] == lingam_order(d, bk), (seed, untiered)
 
     def test_required_edges_against_the_data(self):
         spec = chain_scm(3, "uniform", 3)  # X00 -> X01 -> X02
@@ -527,6 +530,23 @@ class TestDirectLingam:
     def test_refuses_too_few_rows(self, n):
         with pytest.raises(DiscoveryError):
             direct_lingam(independent_dataset(4, n, 5))
+
+
+class TestInputs:
+    def test_dataset_same_as_its_pearson_matrix(self):
+        d = sample_scm(random_scm(6, 0.5, 77), 1500)
+        bk = random_knowledge(d.names, np.random.default_rng(77))
+        for algorithm in (pc, fges):
+            from_data, from_corr = {}, {}
+            assert algorithm(d, bk=bk, record=from_data) == \
+                algorithm(pearson_matrix(d), bk=bk, record=from_corr)
+            del from_data["wall_time_ms"], from_corr["wall_time_ms"]
+            assert from_data == from_corr, algorithm.__name__
+
+    @pytest.mark.parametrize("algorithm", [pc, fci, fges])
+    def test_non_data_source_refused(self, algorithm):
+        with pytest.raises(DiscoveryError, match="cannot build"):
+            algorithm([[1.0, 0.3], [0.3, 1.0]])
 
 
 class TestRunDiscovery:
