@@ -22,7 +22,6 @@ from .graph import (
     d_separated,
     is_dag,
     knowledge_violations,
-    simplify_by_weight,
     structural_hamming_distance,
     to_dot,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "d_separated",
     "is_dag",
     "knowledge_violations",
-    "simplify_by_weight",
     "structural_hamming_distance",
     "to_dot",
     "__version__",

@@ -1,4 +1,4 @@
-"""Survey-style data ingestion, cleaning rules, scaling, and correlations.
+"""Survey-style data ingestion, cleaning rules and correlations.
 
 A Dataset couples an n x p numeric value matrix with a per-variable schema
 (kind, role, levels) and a provenance log that records what every cleaning
@@ -118,11 +118,6 @@ class SchemaConfig:
         with open(path, encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))
 
-    def save(self, path):
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-
 
 @dataclass
 class Dataset:
@@ -162,9 +157,6 @@ class Dataset:
 
     def column(self, name):
         return self.values[:, self.index(name)]
-
-    def variable(self, name):
-        return self.schema[self.index(name)]
 
     def log(self, message):
         self.provenance.append(message)
@@ -227,12 +219,6 @@ class CorrelationMatrix:
             "matrix": [[float(v) for v in row] for row in self.matrix],
         }
 
-    def to_csv(self):
-        lines = ["," + ",".join(self.names)]
-        for name, row in zip(self.names, self.matrix):
-            lines.append(name + "," + ",".join(f"{v:.10g}" for v in row))
-        return "\n".join(lines) + "\n"
-
 
 def load_csv(path, schema):
     """Read an RFC-4180 CSV with a header row against a schema.
@@ -291,23 +277,33 @@ def load_csv(path, schema):
     return d
 
 
+_FILTERS = {"allow", "deny", "min", "max"}
+
+
 def _rule_mask(d, rule):
+    unknown = sorted(set(rule) - _FILTERS - {"column", "columns"})
+    if unknown:
+        raise DataError(f"cleaning rule {rule}: unknown keys {unknown}")
     cols = rule.get("columns")
     if cols is None:
         if "column" not in rule:
             raise DataError(f"cleaning rule without column(s): {rule}")
         cols = [rule["column"]]
+    if not _FILTERS & set(rule):
+        raise DataError(f"cleaning rule {rule}: no allow, deny, min or max")
+    try:
+        allow = np.asarray(rule.get("allow", ()), dtype=float)
+        deny = np.asarray(rule.get("deny", ()), dtype=float)
+        lo = float(rule.get("min", -np.inf))
+        hi = float(rule.get("max", np.inf))
+    except (TypeError, ValueError):
+        raise DataError(f"cleaning rule {rule}: non-numeric value") from None
     mask = np.ones(d.n, dtype=bool)
     for col in cols:
         x = d.column(col)  # raises on unknown column
         if "allow" in rule:
-            mask &= np.isin(x, np.asarray(rule["allow"], dtype=float))
-        if "deny" in rule:
-            mask &= ~np.isin(x, np.asarray(rule["deny"], dtype=float))
-        if "min" in rule:
-            mask &= x >= float(rule["min"])
-        if "max" in rule:
-            mask &= x <= float(rule["max"])
+            mask &= np.isin(x, allow)
+        mask &= ~np.isin(x, deny) & (x >= lo) & (x <= hi)
     return mask
 
 
@@ -330,36 +326,14 @@ def clean(d, rules):
     return out
 
 
-def scale_unit(d):
-    """Min-max scale every column to [0, 1]; constant columns map to 0."""
-    values = d.values.copy()
-    constant = []
-    for j, v in enumerate(d.schema):
-        col = values[:, j]
-        lo, hi = col.min(), col.max()
-        if hi == lo:
-            values[:, j] = 0.0
-            constant.append(v.name)
-        else:
-            values[:, j] = (col - lo) / (hi - lo)
-    out = Dataset(list(d.schema), values, list(d.provenance))
-    out.log("scaled all columns to [0, 1]")
-    if constant:
-        out.log(f"constant columns mapped to 0: {constant}")
-        logger.warning("constant columns in scale_unit: %s", constant)
-    return out
-
-
 def _corr_from_columns(cols, names, method, n):
     p = len(names)
-    stds = cols.std(axis=0)
-    constant = stds == 0
+    with np.errstate(all="ignore"):
+        constant = cols.std(axis=0) == 0
+        m = np.corrcoef(cols, rowvar=False).reshape(p, p)
     if constant.any():
         logger.warning("%s correlation: constant columns set to 0: %s",
                        method, [names[i] for i in np.flatnonzero(constant)])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        m = np.corrcoef(cols, rowvar=False).reshape(p, p)
-    m = np.where(np.isfinite(m), m, 0.0)
     m[constant, :] = 0.0
     m[:, constant] = 0.0
     return CorrelationMatrix(list(names), m, method, n)

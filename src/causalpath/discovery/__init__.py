@@ -1,36 +1,12 @@
 """The four structure-learning algorithms with background-knowledge support."""
 
 from .common import DiscoveryConfig, DiscoveryError, as_citester, as_scorer
-from .fci import fci, possible_d_sep
+from .fci import fci
 from .fges import fges
 from .lingam import direct_lingam
 from .pc import pc
 
-ALGORITHMS = {"pc": pc, "fci": fci, "fges": fges, "lingam": direct_lingam}
-
-
-def run_discovery(name, dataset=None, corr=None, cfg=None, bk=None, record=None):
-    """Dispatch one algorithm by name.
-
-    Constraint- and score-based algorithms consume the correlation matrix
-    when one is given (falling back to the dataset); DirectLiNGAM always
-    needs the raw dataset.
-    """
-    if name not in ALGORITHMS:
-        raise DiscoveryError(f"unknown algorithm {name!r}; "
-                             f"choose from {sorted(ALGORITHMS)}")
-    if name == "lingam":
-        if dataset is None:
-            raise DiscoveryError("lingam needs the raw dataset")
-        return direct_lingam(dataset, cfg, bk, record)
-    source = corr if corr is not None else dataset
-    if source is None:
-        raise DiscoveryError(f"{name} needs a dataset or correlation matrix")
-    return ALGORITHMS[name](source, cfg, bk, record)
-
-
 __all__ = [
-    "ALGORITHMS",
     "DiscoveryConfig",
     "DiscoveryError",
     "as_citester",
@@ -39,6 +15,4 @@ __all__ = [
     "fci",
     "fges",
     "pc",
-    "possible_d_sep",
-    "run_discovery",
 ]

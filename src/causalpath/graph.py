@@ -9,8 +9,8 @@ weighted DAGs. A pair of nodes has at most one edge, with one mark ("tail",
     a <-> b     arrow at both ends (bidirected)
     a o-> b     circle at a, arrow at b
 
-All operations are pure: they copy the input graph and never mutate shared
-state, so graphs can be used concurrently once built.
+No module-level public function changes a graph passed to it, except
+`orient_by_knowledge`, which orients its argument in place.
 """
 from __future__ import annotations
 
@@ -492,7 +492,7 @@ def _meek_applies(g, a, b):
 
 
 def orient_by_knowledge(g, bk, conflicts):
-    """Orient undirected edges forced by required/forbidden pairs or tiers.
+    """Orient in place the undirected edges forced by required/forbidden pairs or tiers.
 
     A pair forbidden in both directions that survived the skeleton stays
     undirected and is reported as a conflict.
@@ -560,7 +560,8 @@ def consistent_extension(g):
     directed edges and creating no new v-structures.
 
     Sinks are peeled repeatedly; among valid sinks the lexicographically
-    largest node is taken first, which makes the result deterministic.
+    largest node is taken first, which makes the result deterministic. Every
+    edge then points from a later-peeled node to an earlier one: a DAG.
     Raises NoExtensionError naming an obstructing node if none exists.
     """
     for a, b, ma, mb in g.edges():
@@ -584,7 +585,6 @@ def consistent_extension(g):
             if u in remaining:
                 out.orient(u, sink)
         remaining.remove(sink)
-    out.validate()
     return out
 
 
@@ -603,18 +603,6 @@ def structural_hamming_distance(g1, g2):
         if state(g1, a, b) != state(g2, a, b):
             count += 1
     return count
-
-
-def simplify_by_weight(g, threshold):
-    """Keep exactly the edges with |weight| > threshold."""
-    if threshold < 0:
-        raise GraphError("threshold must be nonnegative")
-    out = MixedGraph(g.nodes, "weighted-dag")
-    for a, b in g.directed_edges():
-        w = g.weight(a, b)
-        if abs(w) > threshold:
-            out.add_directed(a, b, weight=w)
-    return out
 
 
 def knowledge_violations(g, bk):

@@ -32,6 +32,12 @@ class ScmSpec:
         if not is_dag(self.dag):
             raise SimulationError("ScmSpec needs an acyclic directed graph")
         self.weights = {(a, b): float(w) for (a, b), w in self.weights.items()}
+        stray = sorted(set(self.weights) - set(self.dag.directed_edges()))
+        if stray:
+            raise SimulationError(f"weights on pairs that are not edges: {stray}")
+        unknown = sorted(set(self.noise) - set(self.dag.nodes))
+        if unknown:
+            raise SimulationError(f"noise for unknown nodes: {unknown}")
         for a, b in self.dag.directed_edges():
             self.weights.setdefault((a, b), 1.0)
         for v in self.dag.nodes:

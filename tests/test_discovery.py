@@ -18,7 +18,6 @@ from causalpath.discovery import (
     fci,
     fges,
     pc,
-    run_discovery,
 )
 from causalpath.discovery.fges import _InsertCache
 from causalpath.discovery.lingam import _exogeneity
@@ -550,18 +549,6 @@ class TestInputs:
 
 
 class TestRunDiscovery:
-    def test_dispatch_and_unknown(self):
-        spec = random_scm(4, 0.4, 31)
-        d = sample_scm(spec, 2000)
-        corr = pearson_matrix(d)
-        for name in ("pc", "fci", "fges"):
-            g = run_discovery(name, dataset=d, corr=corr)
-            assert set(g.nodes) == set(d.names)
-        g = run_discovery("lingam", dataset=d)
-        assert g.kind == "weighted-dag"
-        with pytest.raises(DiscoveryError):
-            run_discovery("ges", dataset=d)
-
     def test_all_algorithms_respect_role_tiers(self):
         # paper-style tiers: targets are sinks; characteristics cannot cause
         # earlier tiers
@@ -574,8 +561,9 @@ class TestRunDiscovery:
             forbidden=[(t, o) for t in names[4:] for o in names if o != t],
         )
         corr = pearson_matrix(d)
-        for name in ("pc", "fci", "fges", "lingam"):
-            g = run_discovery(name, dataset=d, corr=corr, bk=bk)
+        graphs = {"pc": pc(corr, bk=bk), "fci": fci(corr, bk=bk), "fges": fges(corr, bk=bk),
+                  "lingam": direct_lingam(d, bk=bk)}
+        for name, g in graphs.items():
             assert knowledge_violations(g, bk) == [], name
             for t in names[4:]:
                 assert not g.children(t), (name, t)

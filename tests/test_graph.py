@@ -18,14 +18,15 @@ from causalpath.graph import (
     d_separated,
     is_dag,
     knowledge_violations,
-    simplify_by_weight,
     structural_hamming_distance,
     to_dot,
 )
 
 from oracles import (
+    _pdag_vstructures,
     build_dag,
     compelled_orientations,
+    consistent_extensions_bruteforce,
     cpdag_bruteforce,
     d_separated_bruteforce,
     enumerate_dags,
@@ -357,6 +358,42 @@ class TestConsistentExtension:
             consistent_extension(g)
         assert err.value.node in {"A", "B", "C", "D"}
 
+    def test_directed_cycle_has_no_extension(self):
+        g = MixedGraph(["A", "B", "C"], "cpdag")
+        g.add_directed("A", "B")
+        g.add_directed("B", "C")
+        g.add_directed("C", "A")
+        with pytest.raises(NoExtensionError):
+            consistent_extension(g)
+
+    def test_pdag_with_extra_directed_edges(self):
+        # CPDAGs with some undirected edges directed either way, as knowledge
+        # and FGES operators leave them: an extension exists exactly when the
+        # brute force finds one, and it is a DAG on the same skeleton that
+        # keeps every directed edge and the input's v-structures
+        rng = np.random.default_rng(29)
+        extended = 0
+        for _ in range(150):
+            p = int(rng.integers(3, 7))
+            nodes, edges = random_dag_edges(p, 0.5, rng)
+            g = cpdag_of(build_dag(nodes, edges))
+            for a, b, ma, mb in g.edges():
+                if (ma, mb) == (TAIL, TAIL) and rng.random() < 0.4:
+                    g.orient(*((a, b) if rng.random() < 0.5 else (b, a)))
+            if not consistent_extensions_bruteforce(g):
+                with pytest.raises(NoExtensionError):
+                    consistent_extension(g)
+                continue
+            ext = consistent_extension(g)
+            extended += 1
+            ext.validate()
+            assert is_dag(ext)
+            assert {frozenset(e[:2]) for e in ext.edges()} == \
+                {frozenset(e[:2]) for e in g.edges()}
+            assert set(g.directed_edges()) <= set(ext.directed_edges())
+            assert _pdag_vstructures(ext) == _pdag_vstructures(g)
+        assert extended >= 50
+
 
 class TestShd:
     def test_identical(self):
@@ -377,27 +414,6 @@ class TestShd:
     def test_node_mismatch(self):
         with pytest.raises(GraphError):
             structural_hamming_distance(chain(), MixedGraph(["A", "B"]))
-
-
-class TestSimplifyByWeight:
-    def test_paper_threshold_convention(self):
-        g = MixedGraph(["a", "b", "c", "d"], "weighted-dag")
-        g.add_directed("a", "b", weight=0.3)
-        g.add_directed("a", "c", weight=-0.26)
-        g.add_directed("a", "d", weight=0.1)
-        out = simplify_by_weight(g, 0.25)
-        assert out.edge_count == 2
-        assert out.has_edge("a", "b") and out.has_edge("a", "c")
-
-    def test_zero_threshold_identity(self):
-        g = MixedGraph(["a", "b"], "weighted-dag")
-        g.add_directed("a", "b", weight=0.7)
-        assert simplify_by_weight(g, 0.0) == g
-
-    def test_all_below_threshold(self):
-        g = MixedGraph(["a", "b"], "weighted-dag")
-        g.add_directed("a", "b", weight=0.1)
-        assert simplify_by_weight(g, 0.25).edge_count == 0
 
 
 class TestBackgroundKnowledge:

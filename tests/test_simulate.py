@@ -86,6 +86,16 @@ class TestSampleScm:
         with pytest.raises(SimulationError):
             sample_scm(ScmSpec(g), 0)
 
+    def test_weights_and_noise_only_on_the_graph(self):
+        # sample_scm reads weights along edges only, so a stray (y, x) weight
+        # would reach implied_covariance alone
+        g = MixedGraph(["x", "y"], "dag")
+        g.add_directed("x", "y")
+        with pytest.raises(SimulationError, match="not edges"):
+            ScmSpec(g, {("x", "y"): 0.8, ("y", "x"): 0.5})
+        with pytest.raises(SimulationError, match="unknown nodes"):
+            ScmSpec(g, {("x", "y"): 0.8}, {"z": ("gaussian", 1.0)})
+
     def test_json_roundtrip(self):
         spec = random_scm(4, 0.6, 2, noise="laplace")
         spec2 = ScmSpec.from_json(spec.to_json())
