@@ -166,12 +166,14 @@ class Dataset:
 @dataclass
 class CorrelationMatrix:
     """p x p correlation matrix with its method and sample size. `precision`
-    inverts its blocks for Fisher-z and the BIC score."""
+    inverts its blocks for Fisher-z and the BIC score. `notes` keeps the
+    estimator's warnings, each prefixed by its pair, e.g. "A-B: ..."."""
 
     names: list[str]
     matrix: np.ndarray
     method: str
     n: int
+    notes: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -217,6 +219,7 @@ class CorrelationMatrix:
             "method": self.method,
             "n": int(self.n),
             "matrix": [[float(v) for v in row] for row in self.matrix],
+            "notes": list(self.notes),
         }
 
 
@@ -285,6 +288,8 @@ def _rule_mask(d, rule):
     if unknown:
         raise DataError(f"cleaning rule {rule}: unknown keys {unknown}")
     cols = rule.get("columns")
+    if isinstance(cols, str):
+        raise DataError(f"cleaning rule {rule}: columns must be a list of names")
     if cols is None:
         if "column" not in rule:
             raise DataError(f"cleaning rule without column(s): {rule}")
@@ -362,17 +367,20 @@ def spearman_matrix(d):
 
 
 def polychoric_matrix(d):
-    """Pairwise two-step polychoric correlations for ordinal/binary data."""
+    """Pairwise two-step polychoric correlations for ordinal/binary data.
+    Every pair's estimator warnings are kept in the result's `notes`."""
     bad = [v.name for v in d.schema if v.kind == "continuous"]
     if bad:
         raise DataError(f"polychoric requires binary/ordinal columns; continuous: {bad}")
-    p = d.p
+    p, names = d.p, d.names
     m = np.eye(p)
+    notes = []
     for i in range(p):
         for j in range(i + 1, p):
-            rho, _ = polychoric_pair(d.values[:, i], d.values[:, j])
+            rho, warnings = polychoric_pair(d.values[:, i], d.values[:, j])
             m[i, j] = m[j, i] = rho
-    return CorrelationMatrix(d.names, m, "polychoric", d.n)
+            notes += [f"{names[i]}-{names[j]}: {w}" for w in warnings]
+    return CorrelationMatrix(names, m, "polychoric", d.n, notes)
 
 
 def correlation_matrix(d, method):

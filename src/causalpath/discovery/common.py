@@ -114,11 +114,13 @@ def collider_triples(g, sepsets):
                 yield x, z, y
 
 
-def finish_record(record, algorithm, cfg, bk, graph, started, **extra):
+def finish_record(record, algorithm, cfg, bk, graph, started, sepsets=None, **extra):
     """Fill the per-run JSON record in place (config, knowledge digest, edge
-    list, counters, wall time)."""
+    list, separating sets keyed "a,b" when given, counters, wall time)."""
     if record is None:
         return None
+    if sepsets is not None:
+        extra["sepsets"] = {",".join(sorted(k)): sorted(v) for k, v in sepsets.items()}
     record.update({
         "algorithm": algorithm,
         "config": cfg.to_json_dict(),

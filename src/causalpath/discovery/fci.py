@@ -82,19 +82,27 @@ def possible_d_sep(pag, x):
 
 
 def _pds_prune(pag, tester, cfg, bk, sepsets):
-    """Second skeleton pass: try conditioning sets drawn from possible-d-sep."""
+    """Second skeleton pass: try conditioning sets drawn from possible-d-sep.
+
+    Each node's possible-d-sep set is computed once per skeleton state: this
+    pass only removes edges and sets no mark, so the sets are kept until an
+    edge goes."""
     removed = 0
+    pds_of = {}
     for a, b, _, _ in list(pag.edges()):
         if not pag.has_edge(a, b):
             continue
         if bk.is_required(a, b) or bk.is_required(b, a):
             continue
         for x, y in ((a, b), (b, a)):
-            pds = sorted(possible_d_sep(pag, x) - {x, y})
+            if x not in pds_of:
+                pds_of[x] = possible_d_sep(pag, x)
+            pds = sorted(pds_of[x] - {x, y})
             limit = len(pds) if cfg.max_cond_size is None else min(len(pds), cfg.max_cond_size)
             sets = chain.from_iterable(combinations(pds, k) for k in range(1, limit + 1))
             if separate(pag, tester, x, y, sets, sepsets):
                 removed += 1
+                pds_of.clear()
                 break
     return removed
 
@@ -215,8 +223,9 @@ def fci(source, cfg=None, bk=None, record=None):
     while changed:  # every rule runs in every round
         changed = any([rule(pag, sepsets, conflicts) for rule in (_rule1, _rule2, _rule3, _rule4)])
 
-    finish_record(record, "fci", cfg, bk, pag, started,
+    finish_record(record, "fci", cfg, bk, pag, started, sepsets,
                   ci_tests=getattr(tester, "calls", None),
+                  ci_evaluations=getattr(tester, "evaluations", None),
                   pds_removed=pruned,
                   conflicts=conflicts,
                   notes="final orientation rules R1-R4 (no completeness augmentations)")

@@ -28,8 +28,8 @@ def pc(source, cfg=None, bk=None, record=None):
     conflicts = []
     g = close_pattern(g, collider_triples(g, sepsets), bk, conflicts)
 
-    finish_record(record, "pc", cfg, bk, g, started,
+    finish_record(record, "pc", cfg, bk, g, started, sepsets,
                   ci_tests=getattr(tester, "calls", None),
-                  conflicts=conflicts,
-                  sepsets={",".join(sorted(k)): sorted(v) for k, v in sepsets.items()})
+                  ci_evaluations=getattr(tester, "evaluations", None),
+                  conflicts=conflicts)
     return g

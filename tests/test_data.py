@@ -143,6 +143,7 @@ class TestClean:
         ({"columns": ["a"]}, "no allow"),
         ({"column": "a", "allow": ["yes"]}, "non-numeric"),
         ({"column": "a", "min": "low"}, "non-numeric"),
+        ({"columns": "a", "deny": [-9]}, "list of names"),  # a string, not a list
     ])
     def test_unusable_rule_refused(self, rule, message):
         d = make_dataset([[1.0], [-9.0]], names=["a"])
@@ -272,6 +273,19 @@ class TestPolychoric:
         c = polychoric_matrix(d)
         assert c.method == "polychoric"
         assert c.value("v0", "v1") == pytest.approx(0.5, abs=0.05)
+
+    def test_pair_warnings_kept_as_notes(self):
+        # x = 0 never meets y = 2: only the a-b table has an empty cell
+        x = np.repeat([0, 1, 2], 40)
+        y = np.tile([0, 1, 2, 1], 30)
+        y[(x == 0) & (y == 2)] = 1
+        c = np.tile([0, 1, 1, 0, 1, 0, 0, 1], 15)
+        d = make_dataset(np.column_stack([x, y, c]), kinds=["ordinal", "ordinal", "binary"],
+                         names=["a", "b", "c"])
+        assert polychoric_pair(x, y)[1] == ["contingency table has empty cells"]
+        corr = polychoric_matrix(d)
+        assert corr.notes == ["a-b: contingency table has empty cells"]
+        assert corr.to_json_dict()["notes"] == corr.notes
 
     def test_requires_discrete_columns(self):
         d = make_dataset(np.random.default_rng(0).standard_normal((30, 2)))

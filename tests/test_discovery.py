@@ -21,6 +21,7 @@ from causalpath.discovery import (
 )
 from causalpath.discovery.fges import _InsertCache
 from causalpath.discovery.lingam import _exogeneity
+from causalpath.independence import FisherZTest, GSquaredTest
 from causalpath.score import BicScorer, ScoreError
 from causalpath.simulate import ScmSpec, discretize, random_dag, random_scm, sample_scm
 
@@ -38,6 +39,21 @@ class MarginalOracle:
 
     def __call__(self, x, y, z=()):
         return self.inner(x, y, z)
+
+
+class Unmemoized:
+    """Memo-free reference: every query goes straight to the tester's
+    statistic, in the order it was asked."""
+
+    def __init__(self, tester):
+        self.inner = tester
+        self.nodes = tester.nodes
+        self.alpha = tester.alpha
+        self.calls = 0
+
+    def __call__(self, x, y, z=()):
+        self.calls += 1
+        return self.inner._test(x, y, list(z))
 
 
 def independent_dataset(p, n, seed):
@@ -159,7 +175,13 @@ class TestPc:
         pc(oracle_ci(dag), record=rec)
         assert rec["algorithm"] == "pc"
         assert rec["ci_tests"] > 0
+        assert rec["ci_evaluations"] is None  # the oracle keeps no memo
         assert "wall_time_ms" in rec and "knowledge" in rec
+        corr = pearson_matrix(sample_scm(random_scm(6, 0.5, 2), 500))
+        for alg in (pc, fci):
+            rec = {}
+            alg(FisherZTest(corr), record=rec)
+            assert 0 < rec["ci_evaluations"] <= rec["ci_tests"]
 
     def test_max_cond_size_cap(self):
         dag = random_dag(6, 0.6, 4)
@@ -232,6 +254,37 @@ class TestFci:
     def test_kind_is_pag(self):
         dag = random_dag(4, 0.5, 2)
         assert fci(oracle_ci(dag)).kind == "pag"
+
+
+class TestMemoizedTesters:
+    """The memo answers repeated queries and changes no decision: PC and FCI
+    give the memo-free reference's graph, sepsets and record."""
+
+    KEYS = ("sepsets", "pds_removed", "conflicts", "ci_tests")
+
+    def check(self, alg, make, cfg):
+        memo_rec, ref_rec = {}, {}
+        out = alg(make(), cfg, record=memo_rec)
+        assert out == alg(Unmemoized(make()), cfg, record=ref_rec)
+        assert [memo_rec.get(k) for k in self.KEYS] == [ref_rec.get(k) for k in self.KEYS]
+        assert memo_rec["ci_evaluations"] < memo_rec["ci_tests"]
+        return memo_rec
+
+    @pytest.mark.parametrize("seed", [3, 8, 15])
+    def test_same_decisions_as_reference(self, seed):
+        d = sample_scm(random_scm(9, 0.35, seed), 400)
+        corr = pearson_matrix(d)
+        codes = discretize(d, {v: [-0.5, 0.5] for v in d.names})
+        cfg = DiscoveryConfig(max_cond_size=2)
+        for alg in (pc, fci):
+            self.check(alg, lambda: FisherZTest(corr), cfg)
+            self.check(alg, lambda: GSquaredTest(codes), cfg)
+
+    def test_uncapped_fci_same_as_reference(self):
+        d = sample_scm(random_scm(8, 0.5, 6), 500)
+        rec = self.check(fci, lambda: FisherZTest(pearson_matrix(d)), DiscoveryConfig())
+        assert rec["pds_removed"] > 0
+        assert max(len(s) for s in rec["sepsets"].values()) > 2  # deeper than the cap
 
 
 class TestFges:

@@ -340,3 +340,52 @@ class TestSymmetryAndLog:
         assert len(lines) == 2
         assert lines[1]["z"] == ["v1"]
         assert {"statistic", "p_value", "independent"} <= set(lines[0])
+
+
+def _bits(res):
+    """A result's fields, floats as their exact hex form (NaN included)."""
+    return (float(res.statistic).hex(), float(res.p_value).hex(), res.dof_or_condsize,
+            res.independent, res.note)
+
+
+class TestMemo:
+    def fisher_z(self):
+        return FisherZTest(corr_of(spd_correlation(6, np.random.default_rng(12)), n=90))
+
+    def g2(self):
+        rng = np.random.default_rng(13)
+        data = rng.integers(0, 3, (300, 6)).astype(float)
+        data[:, 1] = (data[:, 0] + rng.integers(0, 2, 300)) % 3
+        return GSquaredTest(discrete_dataset(data))
+
+    @pytest.mark.parametrize("make", ["fisher_z", "g2"])
+    def test_swapped_query_evaluated_once(self, make):
+        t = getattr(self, make)()
+        first = t("v0", "v1", ["v2", "v3"])
+        second = t("v1", "v0", ["v3", "v2"])
+        assert (t.calls, t.evaluations) == (2, 1)
+        assert _bits(first) == _bits(second)
+
+    def test_session_log_sees_every_call(self, tmp_path):
+        inner = self.fisher_z()
+        log = SessionLog(inner, path=tmp_path / "tests.jsonl")
+        log("v0", "v1", ["v2"])
+        log("v1", "v0", ["v2"])
+        with open(log.write(), encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh]
+        assert [(r["x"], r["y"]) for r in lines] == [("v0", "v1"), ("v1", "v0")]
+        assert lines[0]["statistic"] == lines[1]["statistic"]
+        assert (log.calls, inner.evaluations) == (2, 1)
+
+    @pytest.mark.parametrize("make", ["fisher_z", "g2"])
+    def test_memo_answer_equals_fresh_tester(self, make):
+        # queries from a small pool, asked in random orders and set sizes, so
+        # that most are hits and G^2 keeps dropping and refilling its strata
+        t = getattr(self, make)()
+        rng = np.random.default_rng(14)
+        for _ in range(500):
+            x, y, *z = rng.permutation(t.nodes)[:rng.integers(2, 5)]
+            got = t(x, y, z)
+            assert _bits(got) == _bits(getattr(self, make)()(x, y, z))
+        assert t.calls == 500
+        assert t.evaluations < 250
