@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .polychoric import polychoric_pair
+from .polychoric import polychoric_correlations
 
 logger = logging.getLogger(__name__)
 
@@ -367,19 +367,20 @@ def spearman_matrix(d):
 
 
 def polychoric_matrix(d):
-    """Pairwise two-step polychoric correlations for ordinal/binary data.
-    Every pair's estimator warnings are kept in the result's `notes`."""
+    """Pairwise two-step polychoric correlations for ordinal/binary data,
+    every pair solved at once. Every pair's estimator warnings are kept in
+    the result's `notes`; a matrix with a negative eigenvalue gets one more
+    note, and is returned unrepaired."""
     bad = [v.name for v in d.schema if v.kind == "continuous"]
     if bad:
         raise DataError(f"polychoric requires binary/ordinal columns; continuous: {bad}")
-    p, names = d.p, d.names
-    m = np.eye(p)
-    notes = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            rho, warnings = polychoric_pair(d.values[:, i], d.values[:, j])
-            m[i, j] = m[j, i] = rho
-            notes += [f"{names[i]}-{names[j]}: {w}" for w in warnings]
+    names = d.names
+    m, warnings = polychoric_correlations(d.values)
+    notes = [f"{names[i]}-{names[j]}: {w}" for (i, j), ws in warnings.items() for w in ws]
+    low = np.linalg.eigvalsh(m).min(initial=1.0)
+    if low < 0.0:
+        notes.append(f"matrix indefinite: min eigenvalue {low:.4g}")
+        logger.warning("polychoric: %s", notes[-1])
     return CorrelationMatrix(names, m, "polychoric", d.n, notes)
 
 

@@ -2,35 +2,62 @@
 
 Step one fixes the thresholds of each ordinal margin from its cumulative
 proportions through the inverse standard-normal CDF. Step two maximizes the
-bivariate-normal cell likelihood over the latent correlation with a bracketed
-scalar search. Each cell probability is the double difference of the standard
-bivariate-normal CDF at the cell's corners, and the CDF at a finite corner is
-Owen's (1956) closed form in Owen's T function, exact to double precision.
+bivariate-normal cell likelihood over the latent correlation of every column
+pair at once. Each cell probability is the double difference of the standard
+bivariate-normal CDF Phi2 at the cell's corners, and Phi2 at a finite corner
+is Owen's (1956) closed form in Owen's T function, exact to double precision.
+Its derivative in rho is the bivariate-normal density phi2 at the corner, so
+the score and the observed information are sums over the non-empty cells.
+
+The likelihood is maximized by one safeguarded Newton iteration over all
+pairs. Every pair's finite corners are laid out flat, without padding, and
+each sweep evaluates Phi2, phi2 and d(phi2)/d(rho) at the corners of the
+pairs still active, then sums the cell terms to a score and a curvature per
+pair with `np.bincount`. That sum runs over one pair's cells in a fixed
+order, so an estimate depends on its own two columns only, bit for bit.
+Each pair starts at rho = 0 inside the bracket [-0.999, 0.999], which the
+sign of the score narrows. A Newton step is replaced by bisection when the
+curvature is not negative, when the step leaves the bracket, or when it is
+more than half the step before last (Newton crawling along a flat
+likelihood, as when the maximum lies on the boundary). A pair stops when its
+step or bracket is shorter than _TOL, or when its bracket lies inside the
+clamp zone |rho| >= 0.998.
 """
 from __future__ import annotations
 
 import logging
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, ndtri, owens_t
 
 logger = logging.getLogger(__name__)
 
 _RHO_BOUND = 0.999
+_CLAMP = _RHO_BOUND - 1e-3  # estimates this far out are clamped to the bound
 _ZERO_SHIFT = 1e-100  # a zero threshold moves here: Owen's form divides by it
+_TOL = 1e-10  # a pair converges when its step or its bracket is shorter
+_MAX_SWEEPS = 50  # past this a pair keeps its last iterate, with a warning
 
 
 def _bvn_cdf(h, k, rho):
-    """P(X <= h, Y <= k) of a standard bivariate normal on the finite grid
-    h (column) x k (row), from Owen's T."""
-    h = np.where(h == 0.0, _ZERO_SHIFT, h)[:, None]
-    k = np.where(k == 0.0, _ZERO_SHIFT, k)[None, :]
+    """P(X <= h, Y <= k) of a standard bivariate normal at finite corners
+    (h, k), elementwise, from Owen's T."""
+    h = np.where(h == 0.0, _ZERO_SHIFT, h)
+    k = np.where(k == 0.0, _ZERO_SHIFT, k)
     root = np.sqrt(1.0 - rho * rho)
     return (0.5 * (ndtr(h) + ndtr(k))
             - owens_t(h, (k - rho * h) / (h * root))
             - owens_t(k, (h - rho * k) / (k * root))
             - 0.5 * (h * k < 0.0))
+
+
+def _bvn_pdf(h, k, rho):
+    """The standard bivariate-normal density phi2 at (h, k), which is
+    d(Phi2)/d(rho), and its own derivative in rho, elementwise."""
+    s = 1.0 - rho * rho
+    q = h * h - 2.0 * rho * h * k + k * k
+    pdf = np.exp(-0.5 * q / s) / (2.0 * np.pi * np.sqrt(s))
+    return pdf, pdf * (rho / s + (h * k * s - rho * q) / (s * s))
 
 
 def bvn_cell_probs(thresholds_x, thresholds_y, rho):
@@ -42,7 +69,8 @@ def bvn_cell_probs(thresholds_x, thresholds_y, rho):
     tx = np.asarray(thresholds_x, dtype=float)
     ty = np.asarray(thresholds_y, dtype=float)
     cdf = np.zeros((len(tx), len(ty)))  # the -inf row and column stay 0
-    cdf[1:-1, 1:-1] = _bvn_cdf(tx[1:-1], ty[1:-1], rho)
+    h, k = np.meshgrid(tx[1:-1], ty[1:-1], indexing="ij")
+    cdf[1:-1, 1:-1] = _bvn_cdf(h, k, rho)
     cdf[-1, 1:] = ndtr(ty[1:])
     cdf[1:, -1] = ndtr(tx[1:])
     return cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
@@ -56,40 +84,159 @@ def thresholds_from_counts(counts):
     return np.concatenate(([-np.inf], inner, [np.inf]))
 
 
+class _Layout:
+    """Every fitted pair's non-empty cells and finite threshold corners,
+    flat. Corner values live in one array: the finite corners, then one
+    slot holding 0 (a -inf edge), then the margins' ndtr(threshold) (a +inf
+    edge, where Phi2 is a univariate CDF); phi2 is 0 on every edge."""
+
+    def __init__(self, codes, levels, thresholds, pi, pj):
+        lx, ly = levels[pi], levels[pj]
+        npair = len(pi)
+        # contingency tables, one bincount per first column
+        size = lx * ly
+        cell_off = np.concatenate(([0], np.cumsum(size)))
+        table = np.zeros(cell_off[-1], dtype=np.int64)
+        for i in np.unique(pi):
+            sel = np.flatnonzero(pi == i)
+            keys = (cell_off[sel] + codes[:, [i]] * ly[sel]) + codes[:, pj[sel]]
+            table[cell_off[sel[0]]:cell_off[sel[-1] + 1]] = np.bincount(
+                keys.ravel() - cell_off[sel[0]],
+                minlength=cell_off[sel[-1] + 1] - cell_off[sel[0]])
+        self.empty = np.bincount(np.repeat(np.arange(npair), size),
+                                 weights=table == 0, minlength=npair) > 0
+        cell = np.flatnonzero(table)
+        self.cell_pair = np.searchsorted(cell_off, cell, side="right") - 1
+        self.count = table[cell].astype(float)
+        local = cell - cell_off[self.cell_pair]
+        a = local // ly[self.cell_pair]
+        b = local % ly[self.cell_pair]
+
+        # finite corners (a, b), 1 <= a < lx, 1 <= b < ly, row-major per pair
+        nfin = (lx - 1) * (ly - 1)
+        fin_off = np.concatenate(([0], np.cumsum(nfin)))
+        self.corner_pair = np.repeat(np.arange(npair), nfin)
+        local = np.arange(fin_off[-1]) - fin_off[self.corner_pair]
+        t_off = np.concatenate(([0], np.cumsum(levels + 1)))
+        t_all = np.concatenate(thresholds)
+        ca = local // (ly - 1)[self.corner_pair] + 1
+        cb = local % (ly - 1)[self.corner_pair] + 1
+        self.h = t_all[t_off[pi][self.corner_pair] + ca]
+        self.k = t_all[t_off[pj][self.corner_pair] + cb]
+        zero = fin_off[-1]
+        edge = zero + 1 + t_off[:-1]  # edge[j] + t: ndtr of column j's threshold t
+        self.cdf = np.concatenate((np.zeros(zero + 1), ndtr(t_all)))
+        self.pdf = np.zeros_like(self.cdf)
+        self.dpdf = np.zeros_like(self.cdf)
+
+        def corner(da, db):
+            p, ra, rb = self.cell_pair, a + da, b + db
+            return np.where((ra == 0) | (rb == 0), zero,
+                            np.where(ra == lx[p], edge[pj[p]] + rb,
+                                     np.where(rb == ly[p], edge[pi[p]] + ra,
+                                              fin_off[p] + (ra - 1) * (ly[p] - 1) + rb - 1)))
+
+        # the order of the double difference: (a+1, b+1) - (a, b+1) - (a+1, b) + (a, b)
+        self.corners = (corner(1, 1), corner(0, 1), corner(1, 0), corner(0, 0))
+
+    def sweep(self, rho, active):
+        """Score and curvature of the log likelihood at `rho`, for the pairs
+        flagged in `active`, in their order."""
+        c = np.flatnonzero(active[self.corner_pair])
+        h, k, r = self.h[c], self.k[c], rho[self.corner_pair[c]]
+        self.cdf[c] = _bvn_cdf(h, k, r)
+        self.pdf[c], self.dpdf[c] = _bvn_pdf(h, k, r)
+        e = np.flatnonzero(active[self.cell_pair])
+        q11, q01, q10, q00 = (q[e] for q in self.corners)
+        prob, dprob, ddprob = (v[q11] - v[q01] - v[q10] + v[q00]
+                               for v in (self.cdf, self.pdf, self.dpdf))
+        ok = prob > 0.0  # rounding can leave a far tail cell at or below 0
+        ratio = np.divide(dprob, prob, out=np.zeros_like(prob), where=ok)
+        curv = np.divide(ddprob, prob, out=np.zeros_like(prob), where=ok) - ratio * ratio
+        pair, n, npair = self.cell_pair[e], self.count[e], len(active)
+        score = np.bincount(pair, weights=n * ratio, minlength=npair)
+        hess = np.bincount(pair, weights=n * curv, minlength=npair)
+        return score[active], hess[active]
+
+
+def _solve(columns):
+    """Two-step estimates for every column pair i < j of an n x p code
+    matrix. Returns (pairs, rho, warnings), one entry per pair (i, j) in
+    row-major order."""
+    columns = np.asarray(columns)
+    p = columns.shape[1]
+    codes, levels, thresholds = [], [], []
+    for x in columns.T:
+        _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+        codes.append(inverse.ravel())
+        levels.append(len(counts))
+        thresholds.append(thresholds_from_counts(counts))
+    codes, levels = np.column_stack(codes), np.array(levels)
+    pi, pj = np.triu_indices(p, 1)
+    pairs = list(zip(pi.tolist(), pj.tolist()))
+    warnings = [[] for _ in pairs]
+    rho_all = np.zeros(len(pairs))
+    fit = np.flatnonzero((levels[pi] > 1) & (levels[pj] > 1))
+    for k in np.setdiff1d(np.arange(len(pairs)), fit):
+        warnings[k].append("constant margin; correlation set to 0")
+
+    lay = _Layout(codes, levels, thresholds, pi[fit], pj[fit])
+    rho = np.zeros(len(fit))
+    lo = np.full(len(fit), -_RHO_BOUND)
+    hi = np.full(len(fit), _RHO_BOUND)
+    steps = np.full((2, len(fit)), 2.0 * _RHO_BOUND)  # each pair's last two step lengths
+    active = np.ones(len(fit), dtype=bool)
+    for _ in range(_MAX_SWEEPS):
+        act = np.flatnonzero(active)
+        if not act.size:
+            break
+        score, hess = lay.sweep(rho, active)
+        r = rho[act]
+        lo[act] = np.where(score > 0.0, r, lo[act])
+        hi[act] = np.where(score < 0.0, r, hi[act])
+        b_lo, b_hi = lo[act], hi[act]
+        newton = r - np.divide(score, hess, out=np.full_like(r, np.inf), where=hess < 0.0)
+        fast = 2.0 * np.abs(newton - r) <= steps[0, act]
+        new = np.where((newton >= b_lo) & (newton <= b_hi) & fast, newton, 0.5 * (b_lo + b_hi))
+        new = np.where(score == 0.0, r, new)
+        rho[act] = new
+        steps[:, act] = steps[1, act], np.abs(new - r)
+        active[act[(score == 0.0) | (np.abs(new - r) < _TOL) | (b_hi - b_lo < _TOL)
+                   | (b_lo >= _CLAMP) | (b_hi <= -_CLAMP)]] = False
+
+    for k, r, stuck, empty in zip(fit, rho, active, lay.empty):
+        if empty:
+            warnings[k].append("contingency table has empty cells")
+        if stuck:
+            warnings[k].append(f"no convergence after {_MAX_SWEEPS} sweeps")
+        if abs(r) >= _CLAMP:
+            r = np.sign(r) * _RHO_BOUND
+            warnings[k].append(f"boundary estimate clamped to {r:+.3f}")
+        rho_all[k] = r
+    for w in (w for ws in warnings for w in ws):
+        logger.warning("polychoric: %s", w)
+    return pairs, rho_all, warnings
+
+
+def polychoric_correlations(columns):
+    """Two-step polychoric correlations of every column pair of an n x p
+    matrix of integer-coded ordinal samples. Returns (matrix, warnings),
+    where warnings[(i, j)] lists pair i < j's warnings (see polychoric_pair)."""
+    pairs, rho, warnings = _solve(columns)
+    p = np.shape(columns)[1]
+    m = np.eye(p)
+    for (i, j), r in zip(pairs, rho):
+        m[i, j] = m[j, i] = r
+    return m, dict(zip(pairs, warnings))
+
+
 def polychoric_pair(x, y):
     """Two-step polychoric estimate for two integer-coded ordinal samples.
 
     Returns (rho, warnings). Categories are taken from the observed values;
     declared-but-absent levels therefore collapse away (a note is emitted).
-    Estimates ending on the clamp boundary carry a boundary warning.
+    Estimates ending on the clamp boundary carry a boundary warning, and an
+    iteration stopped by the sweep cap carries a no-convergence warning.
     """
-    warnings = []
-    x = np.asarray(x)
-    y = np.asarray(y)
-    ux, xi = np.unique(x, return_inverse=True)
-    uy, yi = np.unique(y, return_inverse=True)
-    if len(ux) < 2 or len(uy) < 2:
-        warnings.append("constant margin; correlation set to 0")
-        return 0.0, warnings
-    table = np.zeros((len(ux), len(uy)))
-    np.add.at(table, (xi, yi), 1.0)
-    if (table == 0).any():
-        warnings.append("contingency table has empty cells")
-    tx = thresholds_from_counts(table.sum(axis=1))
-    ty = thresholds_from_counts(table.sum(axis=0))
-
-    def negll(rho):
-        probs = np.clip(bvn_cell_probs(tx, ty, rho), 1e-300, None)
-        return -float((table * np.log(probs)).sum())
-
-    res = minimize_scalar(
-        negll, bounds=(-_RHO_BOUND, _RHO_BOUND), method="bounded",
-        options={"xatol": 1e-7},
-    )
-    rho = float(np.clip(res.x, -_RHO_BOUND, _RHO_BOUND))
-    if abs(rho) >= _RHO_BOUND - 1e-3:
-        rho = float(np.sign(rho) * _RHO_BOUND)
-        warnings.append(f"boundary estimate clamped to {rho:+.3f}")
-    for w in warnings:
-        logger.warning("polychoric: %s", w)
-    return rho, warnings
+    _, rho, warnings = _solve(np.column_stack([np.asarray(x), np.asarray(y)]))
+    return float(rho[0]), warnings[0]

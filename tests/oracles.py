@@ -15,6 +15,7 @@ from causalpath.discovery.fges import (_better, _is_clique, _semidirected_reacha
                                        _subsets)
 from causalpath.graph import ARROW, TAIL, MixedGraph, d_separated
 from causalpath.independence import CiTestResult
+from causalpath.polychoric import bvn_cell_probs, thresholds_from_counts
 from causalpath.score import ScoreError
 
 logger = logging.getLogger(__name__)
@@ -376,3 +377,32 @@ def fges_best_insert_scan(g, scorer, bk, skip):
                 if _better(delta, (x, y, T), best):
                     best = (delta, x, y, T)
     return best
+
+
+def polychoric_oracle(x, y):
+    """Maximizer of the two-step polychoric log likelihood of two code
+    columns, by a dense rho grid and then a bounded Brent search around the
+    grid's best point (xatol 1e-12). Returns (rho, loglik), where loglik(r)
+    sums count * log(probability) over the non-empty cells."""
+    from scipy.optimize import minimize_scalar
+
+    _, xi = np.unique(x, return_inverse=True)
+    _, yi = np.unique(y, return_inverse=True)
+    table = np.zeros((xi.max() + 1, yi.max() + 1))
+    np.add.at(table, (xi, yi), 1.0)
+    tx = thresholds_from_counts(table.sum(axis=1))
+    ty = thresholds_from_counts(table.sum(axis=0))
+    full = table > 0
+
+    def loglik(r):
+        probs = bvn_cell_probs(tx, ty, r)[full]
+        return float((table[full] * np.log(np.maximum(probs, 1e-300))).sum())
+
+    grid = np.linspace(-0.999, 0.999, 201)
+    values = [loglik(r) for r in grid]
+    i = int(np.argmax(values))
+    res = minimize_scalar(lambda r: -loglik(r), method="bounded",
+                          bounds=(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]),
+                          options={"xatol": 1e-12})
+    best = float(res.x) if -res.fun >= values[i] else float(grid[i])
+    return best, loglik

@@ -1,3 +1,4 @@
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from scipy.stats import rankdata
 
 import causalpath
+from causalpath import polychoric
 from causalpath.data import (
     CorrelationMatrix,
     DataError,
@@ -24,6 +26,9 @@ from causalpath.data import (
     spearman_matrix,
 )
 from causalpath.polychoric import bvn_cell_probs, polychoric_pair
+from causalpath.simulate import discretize, random_scm, sample_scm
+
+from oracles import polychoric_oracle
 
 
 def make_dataset(values, kinds=None, names=None):
@@ -190,14 +195,15 @@ class TestSpearman:
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats dominates import time; the package needs none of it
+    # scipy.stats and scipy.optimize dominate import time; the package needs neither
     src = str(Path(causalpath.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import causalpath, "
             "causalpath.data, causalpath.independence, causalpath.score, "
-            "causalpath.discovery, causalpath.simulate; print('scipy.stats' in sys.modules)")
+            "causalpath.discovery, causalpath.simulate; "
+            "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 class TestPearson:
@@ -287,6 +293,83 @@ class TestPolychoric:
         assert corr.notes == ["a-b: contingency table has empty cells"]
         assert corr.to_json_dict()["notes"] == corr.notes
 
+    @pytest.mark.parametrize("levels", [2, 3, 6])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_concordant_tables_clamped(self, levels, sign):
+        x = np.repeat(np.arange(levels), 20)
+        rho, warnings = polychoric_pair(x, x if sign > 0 else levels - 1 - x)
+        assert rho == sign * 0.999
+        assert warnings == ["contingency table has empty cells",
+                            f"boundary estimate clamped to {sign * 0.999:+.3f}"]
+
+    def test_reaches_oracle_maximum(self):
+        # 200 random tables, 2-6 levels a side, n = 40-1500; each estimate
+        # reaches the independent maximizer's log likelihood to 1e-9, or is
+        # clamped with that maximum in the clamp zone
+        rng = np.random.default_rng(2208)
+        seen = {"empty": 0, "strong": 0, "negative": 0}
+        tables = 0
+        while tables < 200:
+            lx, ly = rng.integers(2, 7, size=2)
+            r = rng.choice([-1.0, 1.0]) * (rng.uniform(0.95, 0.995) if tables % 3 == 0
+                                          else rng.uniform(0.0, 0.95))
+            z = rng.multivariate_normal([0, 0], [[1, r], [r, 1]], size=rng.integers(40, 1500))
+            x = np.searchsorted(np.sort(rng.normal(0, 1, lx - 1)), z[:, 0])
+            y = np.searchsorted(np.sort(rng.normal(0, 1, ly - 1)), z[:, 1])
+            if len(np.unique(x)) < 2 or len(np.unique(y)) < 2:
+                continue
+            tables += 1
+            rho, warnings = polychoric_pair(x, y)
+            best, loglik = polychoric_oracle(x, y)
+            clamped = any("boundary" in w for w in warnings)
+            assert not any("convergence" in w for w in warnings)
+            assert clamped or abs(best) < polychoric._CLAMP + 1e-6, (rho, best)
+            if not (clamped and abs(best) >= polychoric._CLAMP - 1e-6):
+                # a likelihood flat to rounding past some rho clamps as well
+                assert loglik(rho) >= loglik(best) - 1e-9, (rho, best)
+            seen["empty"] += "contingency table has empty cells" in warnings
+            seen["strong"] += abs(best) > 0.95
+            seen["negative"] += best < 0
+        assert min(seen.values()) >= 20, seen
+
+    def test_sweep_cap_reported(self, monkeypatch, caplog):
+        monkeypatch.setattr(polychoric, "_MAX_SWEEPS", 2)
+        rng = np.random.default_rng(8)
+        z = rng.multivariate_normal([0, 0], [[1, 0.5], [0.5, 1]], size=400)
+        codes = np.column_stack([np.searchsorted([-0.5, 0.3, 1.0], z[:, 0]),
+                                 np.searchsorted([-0.2, 0.6], z[:, 1])])
+        with caplog.at_level(logging.WARNING, logger="causalpath.polychoric"):
+            rho, warnings = polychoric_pair(codes[:, 0], codes[:, 1])
+        assert warnings == ["no convergence after 2 sweeps"]
+        assert "polychoric: no convergence after 2 sweeps" in caplog.messages
+        corr = polychoric_matrix(make_dataset(codes, kinds=["ordinal", "ordinal"]))
+        assert corr.notes == ["v0-v1: no convergence after 2 sweeps"]
+        assert corr.value("v0", "v1") == rho
+
+    def test_indefinite_matrix_noted(self, caplog):
+        # binarized random_scm(8, 0.6, s, weight_range=(0.8, 1.5)) at n = 80 is
+        # indefinite on every seed
+        for seed in range(40):
+            d = sample_scm(random_scm(8, 0.6, seed, weight_range=(0.8, 1.5)), 80)
+            d = discretize(d, {v: [0.0] for v in d.names})
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="causalpath.data"):
+                corr = polychoric_matrix(d)
+            low = np.linalg.eigvalsh(corr.matrix).min()
+            note = f"matrix indefinite: min eigenvalue {low:.4g}"
+            assert low < 0
+            assert [n for n in corr.notes if "indefinite" in n] == [note]
+            assert [r.getMessage() for r in caplog.records
+                    if r.name == "causalpath.data"] == [f"polychoric: {note}"]
+
+    def test_positive_definite_matrix_not_noted(self):
+        rng = np.random.default_rng(9)
+        z = rng.multivariate_normal(np.zeros(3), 0.5 * np.eye(3) + 0.5, size=2000)
+        corr = polychoric_matrix(make_dataset(np.searchsorted([-0.4, 0.5], z),
+                                              kinds=["ordinal"] * 3))
+        assert np.linalg.eigvalsh(corr.matrix).min() > 0
+        assert not [n for n in corr.notes if "indefinite" in n]
+
     def test_requires_discrete_columns(self):
         d = make_dataset(np.random.default_rng(0).standard_normal((30, 2)))
         with pytest.raises(DataError):
@@ -354,3 +437,19 @@ class TestCorrelationMatrixType:
         d2 = make_dataset(x[:, [0, 2]], kinds=["binary"] * 2, names=["v0", "v2"])
         pairwise = polychoric_matrix(d2)
         assert full.matrix[0, 2] == pairwise.matrix[0, 1]
+
+    def test_cell_order_independence_mixed_levels(self):
+        # 2-, 4- and 6-level columns: the flat, unpadded layout keeps every
+        # cell a function of its own two columns, bit for bit
+        rng = np.random.default_rng(12)
+        z = rng.multivariate_normal(np.zeros(6), 0.4 * np.eye(6) + 0.6, size=150)
+        levels = [2, 4, 6, 2, 4, 6]
+        x = np.column_stack([np.searchsorted(np.linspace(-1.2, 1.2, k - 1), z[:, j])
+                             for j, k in enumerate(levels)]).astype(float)
+        kinds = ["binary" if k == 2 else "ordinal" for k in levels]
+        full = polychoric_matrix(make_dataset(x, kinds=kinds))
+        assert any("empty cells" in n for n in full.notes)
+        for i in range(6):
+            for j in range(i + 1, 6):
+                two = polychoric_matrix(make_dataset(x[:, [i, j]], kinds=[kinds[i], kinds[j]]))
+                assert full.matrix[i, j] == two.matrix[0, 1] == polychoric_pair(x[:, i], x[:, j])[0]
