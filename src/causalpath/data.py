@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -165,8 +166,11 @@ class Dataset:
 
 @dataclass
 class CorrelationMatrix:
-    """p x p correlation matrix with its method and sample size. `precision`
-    inverts its blocks for Fisher-z and the BIC score. `notes` keeps the
+    """p x p correlation matrix with its method and sample size.
+    `partial_cholesky` gives Fisher-z its partial correlations from a scalar
+    factorization of each well-conditioned block; `precision` inverts a block
+    for the BIC score and for every block `partial_cholesky` declines, and
+    holds the one conditioning rule both follow. `notes` keeps the
     estimator's warnings, each prefixed by its pair, e.g. "A-B: ..."."""
 
     names: list[str]
@@ -191,6 +195,7 @@ class CorrelationMatrix:
         if m.size and (np.abs(m) > 1.0 + 1e-12).any():
             raise DataError("correlation entries outside [-1, 1]")
         self.matrix = np.clip(m, -1.0, 1.0)
+        self._rows = self.matrix.tolist()  # Python floats for partial_cholesky
 
     def index(self, name):
         try:
@@ -209,6 +214,47 @@ class CorrelationMatrix:
         if size.max() > _COND_LIMIT * size.min():
             raise SingularConditioningError(names)
         return (vec / lam) @ vec.T
+
+    def partial_cholesky(self, x, y, z=()):
+        """The last row's two trailing entries (l21, l22) of the Cholesky
+        factor of the (*z, x, y) block, so that the partial correlation of x
+        and y given z is l21 / sqrt(l21**2 + l22**2); None when the block is
+        not certified.
+
+        With positive pivots d_i (the squared diagonal of the factor), the
+        unit-diagonal k x k block has max eigenvalue <= trace = k and min
+        eigenvalue >= det / k**(k - 1), det = prod(d_i), so its condition
+        number is at most k**k / det. A block is certified only when every
+        pivot is > 0 and k**k <= det * _COND_LIMIT / 10; the factor 10 covers
+        rounding in the condition number `precision` computes, so
+        `precision` accepts every certified block. Indefinite, near-singular
+        and ill-conditioned blocks are declined and left to `precision`.
+        """
+        rows = self._rows
+        idx = [self.index(v) for v in (*z, x, y)]
+        factor = []
+        det = 1.0
+        for i, a in enumerate(idx):
+            row = rows[a]
+            li = []
+            for j in range(i):
+                lj = factor[j]
+                s = row[idx[j]]
+                for m in range(j):
+                    s -= li[m] * lj[m]
+                li.append(s / lj[j])
+            d = 1.0
+            for v in li:
+                d -= v * v
+            if d <= 0.0:
+                return None
+            det *= d
+            li.append(math.sqrt(d))
+            factor.append(li)
+        k = len(idx)
+        if k ** k > det * (_COND_LIMIT / 10.0):
+            return None
+        return li[-2], li[-1]
 
     def value(self, a, b):
         return float(self.matrix[self.index(a), self.index(b)])

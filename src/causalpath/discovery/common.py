@@ -114,6 +114,15 @@ def collider_triples(g, sepsets):
                 yield x, z, y
 
 
+def ci_counters(tester):
+    """A run record's CI counters: queries, evaluated queries and the
+    evaluated answers by note (None where the tester keeps no such count)."""
+    notes = getattr(tester, "note_counts", None)
+    return {"ci_tests": getattr(tester, "calls", None),
+            "ci_evaluations": getattr(tester, "evaluations", None),
+            "ci_notes": None if notes is None else dict(sorted(notes.items()))}
+
+
 def finish_record(record, algorithm, cfg, bk, graph, started, sepsets=None, **extra):
     """Fill the per-run JSON record in place (config, knowledge digest, edge
     list, separating sets keyed "a,b" when given, counters, wall time)."""

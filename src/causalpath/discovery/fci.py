@@ -16,8 +16,8 @@ import time
 from itertools import chain, combinations
 
 from ..graph import ARROW, CIRCLE, TAIL, MixedGraph, _bk, report
-from .common import (DiscoveryConfig, as_citester, collider_triples, finish_record, separate,
-                     stable_skeleton)
+from .common import (DiscoveryConfig, as_citester, ci_counters, collider_triples,
+                     finish_record, separate, stable_skeleton)
 
 
 def _set_mark(pag, node, other, mark, conflicts, reason):
@@ -224,8 +224,7 @@ def fci(source, cfg=None, bk=None, record=None):
         changed = any([rule(pag, sepsets, conflicts) for rule in (_rule1, _rule2, _rule3, _rule4)])
 
     finish_record(record, "fci", cfg, bk, pag, started, sepsets,
-                  ci_tests=getattr(tester, "calls", None),
-                  ci_evaluations=getattr(tester, "evaluations", None),
+                  **ci_counters(tester),
                   pds_removed=pruned,
                   conflicts=conflicts,
                   notes="final orientation rules R1-R4 (no completeness augmentations)")

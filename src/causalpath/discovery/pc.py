@@ -11,7 +11,8 @@ from __future__ import annotations
 import time
 
 from ..graph import _bk, close_pattern
-from .common import DiscoveryConfig, as_citester, collider_triples, finish_record, stable_skeleton
+from .common import (DiscoveryConfig, as_citester, ci_counters, collider_triples,
+                     finish_record, stable_skeleton)
 
 
 def pc(source, cfg=None, bk=None, record=None):
@@ -29,7 +30,6 @@ def pc(source, cfg=None, bk=None, record=None):
     g = close_pattern(g, collider_triples(g, sepsets), bk, conflicts)
 
     finish_record(record, "pc", cfg, bk, g, started, sepsets,
-                  ci_tests=getattr(tester, "calls", None),
-                  ci_evaluations=getattr(tester, "evaluations", None),
+                  **ci_counters(tester),
                   conflicts=conflicts)
     return g

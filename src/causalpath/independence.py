@@ -12,15 +12,23 @@ tester instance: `calls` counts every query and `evaluations` every one
 actually computed. A tester's alpha and data are fixed when it is built, so
 a kept answer always equals its recomputation. Passing one tester to both
 `pc` and `fci` therefore shares its answers between the two searches.
+`note_counts` counts the evaluated answers by note.
 
-Fisher-z takes its partial correlation from `CorrelationMatrix.precision`,
-which also decides when a conditioning set is near-singular. P-values come
-straight from the `scipy.special` ufuncs `ndtr` and `chdtrc`.
+Fisher-z takes its partial correlation from `CorrelationMatrix.partial_cholesky`,
+a plain-Python Cholesky factorization of the (*z, x, y) block that certifies
+the block's condition number, with no LAPACK call. A block it declines
+(indefinite, near-singular or ill-conditioned) goes to
+`CorrelationMatrix.precision`, whose eigendecomposition decides as before
+when a conditioning set is near-singular; a certified block is one that rule
+accepts too. P-values come straight from the `scipy.special` ufuncs `ndtr`
+and `chdtrc`.
 """
 from __future__ import annotations
 
 import json
 import logging
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +67,17 @@ class CiTestResult:
 
 
 def partial_correlation(c, x, y, z=()):
-    """Partial correlation of x and y given z from the precision of the
-    (x, y, *z) block of the correlation matrix c; NaN when that block is
-    indefinite and gives x or y a negative residual variance."""
+    """Partial correlation of x and y given z in the correlation matrix c:
+    from `c.partial_cholesky` when it certifies the block, otherwise from the
+    precision of the (x, y, *z) block; NaN when that block is indefinite and
+    gives x or y a negative residual variance."""
     z = list(z)
     if x in z or y in z or x == y:
         raise IndependenceError("x, y must be distinct and disjoint from z")
+    tail = c.partial_cholesky(x, y, z)
+    if tail is not None:
+        l21, l22 = tail
+        return l21 / math.sqrt(l21 * l21 + l22 * l22)
     prec = c.precision([x, y, *z])
     scale = prec[0, 0] * prec[1, 1]
     if scale <= 0.0:
@@ -85,6 +98,7 @@ class MemoizedTester:
         self.alpha = alpha
         self.calls = 0
         self.evaluations = 0
+        self.note_counts = Counter()  # note -> evaluated answers with it
         self._memo: dict[tuple, tuple] = {}
 
     def __call__(self, x, y, z=()):
@@ -98,6 +112,8 @@ class MemoizedTester:
             return CiTestResult(*hit)
         self.evaluations += 1
         res = self._test(x, y, z)
+        if res.note:
+            self.note_counts[res.note] += 1
         self._memo[key] = (res.statistic, res.p_value, res.dof_or_condsize,
                            res.independent, res.note)
         return res
@@ -124,15 +140,15 @@ class FisherZTest(MemoizedTester):
             logger.warning("fisher-z: near-singular conditioning set %s for (%s, %s); "
                            "treated as dependent", z, x, y)
             return CiTestResult(np.inf, 0.0, len(z), False, note="near-singular")
-        if np.isnan(r):
+        if math.isnan(r):
             logger.warning("fisher-z: indefinite correlation submatrix for (%s, %s | %s); "
                            "treated as dependent", x, y, z)
             return CiTestResult(np.nan, np.nan, len(z), False, note="indefinite")
         if abs(r) >= 1.0:
             return CiTestResult(np.inf, 0.0, len(z), False, note="saturated")
-        stat = np.sqrt(n - len(z) - 3) * np.arctanh(r)
-        p = 2.0 * ndtr(-abs(stat))
-        return CiTestResult(float(stat), float(p), len(z), bool(p > self.alpha))
+        stat = math.sqrt(n - len(z) - 3) * math.atanh(r)
+        p = float(2.0 * ndtr(-abs(stat)))
+        return CiTestResult(stat, p, len(z), p > self.alpha)
 
 
 class GSquaredTest(MemoizedTester):

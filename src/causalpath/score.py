@@ -5,7 +5,10 @@ log-likelihood of its linear regression minus a penalty-discounted BIC term.
 Scores are memoized per (node, parent-set); a cached value always equals its
 recomputation. The residual variance is 1 / precision[0, 0] of the
 node-plus-parents block (`CorrelationMatrix.precision`), so a near-singular
-regression is refused by the rule Fisher-z uses. A refusal is memoized too:
+regression is refused by the rule Fisher-z uses. Unlike Fisher-z, the score
+does not first try `CorrelationMatrix.partial_cholesky`: each (node,
+parent-set) is scored once, so an eigendecomposition per score costs little,
+and the conditioning rule stays in one place. A refusal is memoized too:
 asking again raises a new ScoreError with the same message, so `evaluations`
 counts each (node, parent-set) once.
 """

@@ -261,6 +261,25 @@ def spd_correlation(p, rng, extra=3):
     return s / np.outer(d, d)
 
 
+# -- Fisher-z: the partial correlation from one eigendecomposition ----------
+
+def eigh_partial_correlation(m, x, y, z=(), cond_limit=1e10):
+    """Partial correlation of columns x and y given columns z of the
+    correlation matrix m from the eigendecomposition of its (x, y, *z)
+    block: None when max|eigenvalue| > cond_limit * min|eigenvalue|, NaN
+    when the inverse gives x or y a nonpositive residual variance."""
+    idx = [x, y, *z]
+    lam, vec = np.linalg.eigh(m[np.ix_(idx, idx)])
+    size = np.abs(lam)
+    if size.max() > cond_limit * size.min():
+        return None
+    prec = (vec / lam) @ vec.T
+    scale = prec[0, 0] * prec[1, 1]
+    if scale <= 0.0:
+        return float("nan")
+    return float(-prec[0, 1] / np.sqrt(scale))
+
+
 # -- DirectLiNGAM: the scalar pairwise measure, one pair at a time -----------
 
 def _lingam_entropy(u):

@@ -3,7 +3,9 @@ import logging
 import numpy as np
 import pytest
 
-from causalpath.data import Dataset, VariableSchema, pearson_matrix, polychoric_matrix
+import causalpath.data
+from causalpath.data import (CorrelationMatrix, Dataset, VariableSchema, pearson_matrix,
+                             polychoric_matrix)
 from causalpath.graph import (
     BackgroundKnowledge,
     MixedGraph,
@@ -287,6 +289,66 @@ class TestMemoizedTesters:
         assert max(len(s) for s in rec["sepsets"].values()) > 2  # deeper than the cap
 
 
+def indefinite_tetrachoric():
+    """Binarized small sample: an indefinite tetrachoric matrix, on which some
+    Fisher-z blocks are indefinite."""
+    d = sample_scm(random_scm(8, 0.6, 21, weight_range=(0.8, 1.5)), 80)
+    return polychoric_matrix(discretize(d, {v: [0.0] for v in d.names}))
+
+
+class TestFisherZPaths:
+    """Fisher-z's scalar Cholesky path changes no decision, and no query on
+    a well-conditioned matrix reaches the eigendecomposition."""
+
+    @staticmethod
+    def runs(corr, cfg):
+        out = []
+        for alg in (pc, fci):
+            rec = {}
+            graph = alg(corr, cfg, record=rec)
+            del rec["wall_time_ms"]
+            out.append((graph.to_json_dict(), rec))
+        return out
+
+    def test_same_output_as_eigh_path(self, monkeypatch):
+        cases = [(pearson_matrix(sample_scm(random_scm(9, 0.35, seed), 400)),
+                  DiscoveryConfig(max_cond_size=2)) for seed in (3, 8, 15)]
+        cases += [(pearson_matrix(sample_scm(random_scm(8, 0.5, 6), 500)), DiscoveryConfig()),
+                  (indefinite_tetrachoric(), DiscoveryConfig())]
+        fast = [self.runs(corr, cfg) for corr, cfg in cases]
+        monkeypatch.setattr(CorrelationMatrix, "partial_cholesky", lambda self, x, y, z=(): None)
+        assert [self.runs(corr, cfg) for corr, cfg in cases] == fast
+        assert fast[-1][0][1]["ci_notes"]["indefinite"] > 0
+
+    def test_no_eigendecomposition_per_query(self, monkeypatch):
+        corr = pearson_matrix(sample_scm(random_scm(20, 3 / 19, 7), 1200))
+        real, sizes = np.linalg.eigh, []
+
+        def counting(a, *args, **kwargs):
+            sizes.append(len(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(causalpath.data.np.linalg, "eigh", counting)
+        cfg = DiscoveryConfig(max_cond_size=2)
+        records = [rec for _, rec in self.runs(corr, cfg)]
+        assert min(rec["ci_evaluations"] for rec in records) > 1000
+        assert sizes == []
+        # the counter sees the eigendecomposition path: one call per evaluation
+        monkeypatch.setattr(CorrelationMatrix, "partial_cholesky", lambda self, x, y, z=(): None)
+        records = [rec for _, rec in self.runs(corr, cfg)]
+        assert len(sizes) == sum(rec["ci_evaluations"] for rec in records)
+
+    @pytest.mark.parametrize("alg", [pc, fci])
+    def test_record_counts_notes(self, alg, caplog):
+        rec = {}
+        with caplog.at_level(logging.WARNING, logger="causalpath.independence"):
+            alg(FisherZTest(indefinite_tetrachoric()), record=rec)
+        logged = [r for r in caplog.records
+                  if r.name == "causalpath.independence" and "indefinite" in r.getMessage()]
+        assert rec["ci_notes"]["indefinite"] == len(logged) > 0
+        assert sum(rec["ci_notes"].values()) <= rec["ci_evaluations"]
+
+
 class TestFges:
     def test_independent_columns_empty_and_score(self):
         d = independent_dataset(4, 5000, 13)
@@ -329,8 +391,7 @@ class TestFges:
     def test_indefinite_matrix_raises_and_is_skipped(self):
         # binarized small sample: indefinite tetrachoric matrix, so some
         # regressions have a negative residual variance
-        d = sample_scm(random_scm(8, 0.6, 21, weight_range=(0.8, 1.5)), 80)
-        corr = polychoric_matrix(discretize(d, {v: [0.0] for v in d.names}))
+        corr = indefinite_tetrachoric()
         with pytest.raises(ScoreError, match="indefinite"):
             BicScorer(corr).local_score("X07", {"X01", "X03", "X04"})
         rec = {}

@@ -1,12 +1,14 @@
 import json
 import logging
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.stats import chi2, norm
 
 from causalpath.data import (
+    _COND_LIMIT,
     CorrelationMatrix,
     Dataset,
     VariableSchema,
@@ -26,7 +28,7 @@ from causalpath.independence import (
 )
 from causalpath.simulate import discretize, random_scm, sample_scm
 
-from oracles import oracle_ci, spd_correlation
+from oracles import eigh_partial_correlation, oracle_ci, spd_correlation
 
 
 def corr_of(matrix, n=100, names=None):
@@ -126,6 +128,81 @@ class TestPrecisionKernel:
             assert err.value.names == tuple(names)
         else:
             assert np.isfinite(c.precision(names)).all()
+
+
+def collinear_block(k, cond, rng):
+    """Random k x k correlation block: a covariance with eigenvalues spread
+    geometrically from 1 down to 1/cond, rescaled to a unit diagonal."""
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    s = (q * np.geomspace(1.0, 1.0 / cond, k)) @ q.T
+    d = np.sqrt(np.diag(s))
+    s = s / np.outer(d, d)
+    return (s + s.T) / 2.0
+
+
+def binarized_correlation(seed):
+    """Tetrachoric matrix of a binarized random_scm(8, 0.6) sample of 80 rows:
+    indefinite on every seed."""
+    d = sample_scm(random_scm(8, 0.6, seed, weight_range=(0.8, 1.5)), 80)
+    return polychoric_matrix(discretize(d, {v: [0.0] for v in d.names}))
+
+
+def certificate_blocks(rng):
+    """500 correlation blocks with k = 2-6: random ones, near-collinear ones
+    (condition number 1e8-1e12 before rescaling), subsets of indefinite
+    tetrachoric matrices, and ones whose first two variables are a
+    saturated pair."""
+    blocks = [spd_correlation(int(rng.integers(2, 7)), rng, extra=int(rng.integers(0, 4)))
+              for _ in range(150)]
+    blocks += [collinear_block(int(rng.integers(2, 7)), 10 ** rng.uniform(8, 12), rng)
+               for _ in range(150)]
+    for seed in range(1, 11):
+        m = binarized_correlation(seed).matrix
+        for _ in range(15):
+            idx = rng.permutation(8)[:rng.integers(2, 7)]
+            blocks.append(m[np.ix_(idx, idx)])
+    for _ in range(50):
+        m = spd_correlation(int(rng.integers(2, 7)), rng)
+        sign = rng.choice([-1.0, 1.0])
+        m[1, :] = sign * m[0, :]
+        m[:, 1] = sign * m[:, 0]
+        m[1, 1] = 1.0
+        blocks.append(m)
+    return blocks
+
+
+class TestCholeskyCertificate:
+    def test_certified_blocks_pass_eigh_rule_and_declined_ones_are_unchanged(self):
+        rng = np.random.default_rng(2208)
+        seen = Counter()
+        for m in certificate_blocks(rng):
+            c = corr_of(m, n=200)
+            x, y, *z = c.names[:2] + list(rng.permutation(c.names[2:]))
+            ref = eigh_partial_correlation(c.matrix, 0, 1, [c.index(v) for v in z])
+            note = FisherZTest(c)(x, y, z).note
+            tail = c.partial_cholesky(x, y, z)
+            if tail is not None:
+                size = np.abs(np.linalg.eigvalsh(c.matrix))
+                cond = size.max() / size.min()
+                assert cond <= _COND_LIMIT
+                # both paths round with an error that grows with the condition number
+                r = partial_correlation(c, x, y, z)
+                assert abs(r - ref) <= 1e-12 + 10 * np.finfo(float).eps * cond
+                assert note == ""
+                seen["certified"] += 1
+            elif ref is None:
+                with pytest.raises(SingularConditioningError):
+                    partial_correlation(c, x, y, z)
+                assert note == "near-singular"
+                seen[note] += 1
+            else:
+                assert float(partial_correlation(c, x, y, z)).hex() == ref.hex()
+                assert note == ("indefinite" if np.isnan(ref) else
+                                "saturated" if abs(ref) >= 1.0 else "")
+                seen[note or "declined"] += 1
+        assert sum(seen.values()) == 500
+        assert min(seen[k] for k in ("certified", "near-singular", "indefinite",
+                                     "saturated", "declined")) >= 10, seen
 
 
 class TestFisherZ:
