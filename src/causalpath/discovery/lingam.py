@@ -1,14 +1,15 @@
 """DirectLiNGAM: causal ordering for linear models with non-Gaussian noise.
 
-At each step the most exogenous remaining variable is placed, scored by the
-pairwise dependence between each variable and the residuals of regressing
-the others on it (maximum-entropy approximation with log-cosh and
-Gaussian-moment contrasts; Hyvarinen & Smith 2013). One kernel scores all
-remaining variables, building the residuals in blocks of `_BLOCK_BYTES`. A
-variable waits until every variable of an earlier tier and its required
-parents are placed, and data of deficient rank is refused. Coefficients are
-then fitted by least squares along the order and pruned at a fixed magnitude
-threshold.
+At each step the most exogenous candidate is placed, scored by the pairwise
+dependence between each variable and the residuals of regressing the others
+on it (maximum-entropy approximation with log-cosh and Gaussian-moment
+contrasts; Hyvarinen & Smith 2013). A variable is a candidate once every
+variable of an earlier tier and its required parents are placed, and only
+the candidates' scores are computed: one kernel builds the residual of each
+ordered pair with a candidate at either end, standardized in closed form
+from the covariance matrix, in one reused buffer of `_BLOCK_BYTES`. Data of
+deficient rank is refused. Coefficients are then fitted by least squares
+along the order and pruned at a fixed magnitude threshold.
 """
 from __future__ import annotations
 
@@ -23,15 +24,24 @@ from .common import DiscoveryConfig, DiscoveryError, finish_record
 _K1 = 79.047
 _K2 = 7.4129
 _GAMMA = 0.37457
-_BLOCK_BYTES = 1 << 20  # size of one block of pairwise residuals
+_BLOCK_BYTES = 1 << 20  # the kernel's buffer: a block of residuals and its scratch
 
 
-def _entropy(u):
-    """Differential entropy of each standardized column (axis 0) of u,
-    maximum-entropy approximation."""
+def _entropy(u, scratch=None):
+    """Differential entropy of each standardized row of u (reduced over the
+    last axis), maximum-entropy approximation. A scratch array of u's shape,
+    when given, holds the intermediates; u is left as it was."""
+    t = np.empty_like(u) if scratch is None else scratch
+    np.cosh(u, out=t)
+    np.log(t, out=t)
+    log_cosh = t.mean(axis=-1)
+    np.square(u, out=t)
+    t *= -0.5
+    np.exp(t, out=t)
+    t *= u
+    gauss = t.mean(axis=-1)
     return (1.0 + np.log(2.0 * np.pi)) / 2.0 \
-        - _K1 * (np.mean(np.log(np.cosh(u)), axis=0) - _GAMMA) ** 2 \
-        - _K2 * np.mean(u * np.exp(-(u ** 2) / 2.0), axis=0) ** 2
+        - _K1 * (log_cosh - _GAMMA) ** 2 - _K2 * gauss ** 2
 
 
 def _standardize(x):
@@ -41,28 +51,55 @@ def _standardize(x):
     return np.divide(x, sd, out=x, where=sd > 0)
 
 
-def _exogeneity(w):
-    """Score of every column of the (n, r) matrix w; the lowest is the most
-    exogenous.
+def _exogeneity(w, cands=None):
+    """Score of each candidate column (indices `cands`, default all) of the
+    (n, r) matrix w; the lowest is the most exogenous.
 
     Column i scores sum_j min(0, m_ij)^2 with m_ij = H(z_j) + H(r_i|j) -
     H(z_i) - H(r_j|i), where z are the standardized columns and r_i|j the
     standardized residual of z_i regressed on z_j; m_ij < 0 favors z_j as
-    the cause of z_i. Residuals are built for blocks of rows i at a time.
+    the cause of z_i. Only the ordered pairs with a candidate at either end
+    are built, c(2r - c - 1) of them for c candidates, and never a pair
+    (i, i). With cov the covariance and mu the means of z, r_i|j is
+    (z_i - b_ij z_j - mu_i + b_ij mu_j) / sd_ij with b_ij = cov_ij / cov_jj
+    and sd_ij^2 = cov_ii - b_ij cov_ij, so standardizing it takes no pass
+    over the rows; a residual variance <= 0 raises `DiscoveryError`.
     """
     n, r = w.shape
     z = _standardize(w)
-    zc = z - z.mean(axis=0)
+    mu = z.mean(axis=0)
+    zc = z - mu
     cov = zc.T @ zc / n
-    coef = cov / np.diag(cov)  # coef[i, j]: slope of z_i on z_j
-    h = _entropy(z)
-    h_res = np.empty((r, r))
-    step = max(1, _BLOCK_BYTES // (8 * n * r))
-    for i in range(0, r, step):
-        res = z[:, i:i + step, None] - z[:, None, :] * coef[i:i + step]
-        h_res[i:i + step] = _entropy(_standardize(res))  # r_i|i is a zero column
-    m = (h[None, :] + h_res) - (h[:, None] + h_res.T)
-    np.fill_diagonal(m, 0.0)
+    cands = np.arange(r) if cands is None else np.asarray(cands)
+    scored = np.zeros(r, dtype=bool)
+    scored[cands] = True
+    pair = scored[:, None] | scored[None, :]
+    np.fill_diagonal(pair, False)
+    a, b = np.nonzero(pair)  # pair k is r_a|b
+    slope = cov[a, b] / cov[b, b]
+    var = cov[a, a] - slope * cov[a, b]
+    if not np.all(var > 0):
+        raise DiscoveryError("a pairwise residual has variance <= 0: collinear columns")
+    shift = (mu[a] - slope * mu[b])[:, None]
+    scale = (1.0 / np.sqrt(var))[:, None]
+    slope = slope[:, None]
+    zt = np.ascontiguousarray(z.T)
+    step = max(1, _BLOCK_BYTES // (2 * 8 * n))  # a block and its scratch
+    block, scratch = np.empty((2, min(step, len(a)), n))
+    h_res = np.zeros((r, r))  # the diagonal stays 0, so m_ii is 0
+    for s in range(0, len(a), step):
+        k = slice(s, s + step)
+        res, tmp = block[:len(a[k])], scratch[:len(a[k])]
+        # mode "clip" lets take write into out directly ("raise" buffers)
+        np.take(zt, b[k], axis=0, out=res, mode="clip")
+        res *= -slope[k]
+        np.take(zt, a[k], axis=0, out=tmp, mode="clip")
+        res += tmp
+        res -= shift[k]
+        res *= scale[k]
+        h_res[a[k], b[k]] = _entropy(res, tmp)
+    h = _entropy(zt)
+    m = (h[None, :] + h_res[cands]) - (h[cands, None] + h_res[:, cands].T)
     return (np.minimum(0.0, m) ** 2).sum(axis=1)
 
 
@@ -95,6 +132,7 @@ def direct_lingam(dataset, cfg=None, bk=None, record=None):
 
     order = []
     remaining = list(names)
+    columns = 0  # residuals whose entropy was computed
     while remaining:
         # a variable outside every tier waits only for its required parents
         cands = [v for v in remaining
@@ -103,7 +141,10 @@ def direct_lingam(dataset, cfg=None, bk=None, record=None):
         if len(cands) == 1:
             m = cands[0]
         else:
-            score = dict(zip(remaining, _exogeneity(work)))
+            r, c = len(remaining), len(cands)
+            idx = [remaining.index(v) for v in cands]
+            score = dict(zip(cands, _exogeneity(work, idx)))
+            columns += c * (2 * r - c - 1)
             m = min(cands, key=lambda v: (score[v], v))
         k = remaining.index(m)
         order.append(m)
@@ -129,5 +170,6 @@ def direct_lingam(dataset, cfg=None, bk=None, record=None):
     g.validate()
 
     finish_record(record, "lingam", cfg, bk, g, started,
-                  causal_order=order, pruned_coefficients=pruned)
+                  causal_order=order, pruned_coefficients=pruned,
+                  exogeneity_columns=columns)
     return g

@@ -208,7 +208,9 @@ class GSquaredTest(MemoizedTester):
 
 
 class SessionLog:
-    """Wrap a tester, recording every executed query as a JSON-ready dict."""
+    """Wrap a tester, recording every executed query as a JSON-ready dict.
+    The wrapped tester's counters (`calls`, `evaluations`, `note_counts`)
+    read through, so a run's record keeps them."""
 
     def __init__(self, tester, path=None):
         self.tester = tester
@@ -220,6 +222,14 @@ class SessionLog:
     @property
     def calls(self):
         return getattr(self.tester, "calls", len(self.records))
+
+    @property
+    def evaluations(self):
+        return getattr(self.tester, "evaluations", None)
+
+    @property
+    def note_counts(self):
+        return getattr(self.tester, "note_counts", None)
 
     def __call__(self, x, y, z=()):
         res = self.tester(x, y, z)

@@ -22,6 +22,7 @@ from causalpath.discovery import (
     pc,
 )
 from causalpath.discovery.fges import _InsertCache
+from causalpath.discovery import lingam
 from causalpath.discovery.lingam import _exogeneity
 from causalpath.independence import FisherZTest, GSquaredTest
 from causalpath.score import BicScorer, ScoreError
@@ -590,6 +591,63 @@ class TestDirectLingam:
         assert np.count_nonzero(expected) > 0
         np.testing.assert_allclose(_exogeneity(w), expected, rtol=1e-9, atol=0)
 
+    def test_candidate_scores_equal_the_full_kernel(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            r, n = int(rng.integers(2, 13)), int(rng.integers(200, 3000))
+            w = rng.laplace(size=(n, r)) @ (np.tril(rng.uniform(-1, 1, (r, r)), -1) + np.eye(r))
+            w -= w.mean(axis=0)
+            cands = rng.permutation(r)[:rng.integers(1, r + 1)]
+            np.testing.assert_allclose(_exogeneity(w, cands), _exogeneity(w)[cands],
+                                       rtol=1e-12, atol=0)
+
+    def test_near_collinear_pair_scores_finite(self):
+        # |corr(b, c)| = 1 - 1e-10: the residual of one on the other is
+        # standardized from a variance of about 2e-10, without a warning
+        rng = np.random.default_rng(5)
+        b, e, a = rng.uniform(-1, 1, (3, 2000))
+        c = -(b + np.sqrt(2e-10) * (e - e.mean()) * b.std() / e.std())
+        assert 1 - abs(np.corrcoef(b, c)[0, 1]) == pytest.approx(1e-10, rel=0.1)
+        w = np.column_stack([a, b, c])
+        w -= w.mean(axis=0)
+        assert np.all(np.isfinite(_exogeneity(w)))
+        schema = [VariableSchema(v, "continuous") for v in "abc"]
+        rec = {}
+        direct_lingam(Dataset(schema, w), record=rec)
+        assert sorted(rec["causal_order"]) == ["a", "b", "c"]
+
+    def test_kernel_refuses_zero_residual_variance(self):
+        # +-1 columns: the standardized copies and their covariances are exact
+        x = np.tile([1.0, -1.0], 50)
+        with pytest.raises(DiscoveryError, match="variance"):
+            _exogeneity(np.column_stack([x, x]))
+
+    def test_exogeneity_columns_counts_the_residuals(self, monkeypatch):
+        built = []
+        entropy = lingam._entropy
+
+        def counting(u, scratch=None):
+            if scratch is not None:  # a block of pairwise residuals
+                built.append(len(u))
+            return entropy(u, scratch)
+
+        monkeypatch.setattr(lingam, "_entropy", counting)
+        d = sample_scm(random_scm(7, 0.5, 31, noise="uniform"), 1500)
+        names = sorted(d.names)
+        tiers = [names[4:], names[3:4], names[:3]]
+        rec = {}
+        direct_lingam(d, bk=BackgroundKnowledge(tiers=tiers), record=rec)
+        # a tier's members are the candidates, placed one at a time
+        expected, r = 0, len(names)
+        for tier in tiers:
+            for c in range(len(tier), 0, -1):
+                expected += c * (2 * r - c - 1) if c > 1 else 0
+                r -= 1
+        assert rec["exogeneity_columns"] == sum(built) == expected == 56
+        built.clear()
+        direct_lingam(d, record=rec)
+        assert rec["exogeneity_columns"] == sum(built) == sum(r * (r - 1) for r in range(2, 8))
+
     def test_order_matches_scalar_oracle_with_knowledge(self):
         rng = np.random.default_rng(808)
         for seed in range(12):
@@ -628,13 +686,14 @@ class TestDirectLingam:
         assert rec["causal_order"] == ["X02", "X01", "X00"]
         assert knowledge_violations(out, bk) == []
 
-    @pytest.mark.parametrize("kind", ["constant", "duplicate", "scaled-copy"])
+    @pytest.mark.parametrize("kind", ["constant", "duplicate", "scaled-copy", "combination"])
     @pytest.mark.parametrize("name", ["a", "z"])
     def test_refuses_rank_deficient_columns(self, name, kind):
         rng = np.random.default_rng(17)
         b = rng.uniform(-1, 1, 500)
         c = 0.7 * b + rng.uniform(-1, 1, 500)
-        extra = {"constant": np.full(500, 2.0), "duplicate": b, "scaled-copy": 3.0 * b}[kind]
+        extra = {"constant": np.full(500, 2.0), "duplicate": b, "scaled-copy": 3.0 * b,
+                 "combination": b - 2.0 * c}[kind]
         schema = [VariableSchema(v, "continuous") for v in ("b", "c", name)]
         with pytest.raises(DiscoveryError, match="rank"):
             direct_lingam(Dataset(schema, np.column_stack([b, c, extra])))

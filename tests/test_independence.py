@@ -15,7 +15,7 @@ from causalpath.data import (
     pearson_matrix,
     polychoric_matrix,
 )
-from causalpath.discovery import pc
+from causalpath.discovery import fci, pc
 from causalpath.graph import MixedGraph
 from causalpath.independence import (
     CiTestResult,
@@ -453,6 +453,19 @@ class TestMemo:
         assert [(r["x"], r["y"]) for r in lines] == [("v0", "v1"), ("v1", "v0")]
         assert lines[0]["statistic"] == lines[1]["statistic"]
         assert (log.calls, inner.evaluations) == (2, 1)
+
+    @pytest.mark.parametrize("algorithm", [pc, fci])
+    def test_session_log_keeps_the_run_counters(self, algorithm, caplog):
+        # the indefinite sample gives some tests a note to count
+        d = sample_scm(random_scm(8, 0.6, 21, weight_range=(0.8, 1.5)), 80)
+        corr = polychoric_matrix(discretize(d, {v: [0.0] for v in d.names}))
+        plain, logged = {}, {}
+        with caplog.at_level(logging.ERROR):
+            algorithm(FisherZTest(corr), record=plain)
+            algorithm(SessionLog(FisherZTest(corr)), record=logged)
+        keys = ("ci_tests", "ci_evaluations", "ci_notes")
+        assert plain["ci_notes"]["indefinite"] > 0
+        assert [logged[k] for k in keys] == [plain[k] for k in keys]
 
     @pytest.mark.parametrize("make", ["fisher_z", "g2"])
     def test_memo_answer_equals_fresh_tester(self, make):
