@@ -1,6 +1,6 @@
 """Causal discovery for tabular survey data.
 
-Reads and cleans survey CSV files, estimates Pearson, Spearman or polychoric
+Reads and cleans survey CSV files, estimates Pearson or polychoric
 correlations, and learns causal graphs with PC, FCI, FGES and DirectLiNGAM
 under domain knowledge (tiers, forbidden and required edges). Graphs are
 `MixedGraph` objects with endpoint marks, covering DAGs, CPDAGs and PAGs.
@@ -23,7 +23,6 @@ from .graph import (
     is_dag,
     knowledge_violations,
     structural_hamming_distance,
-    to_dot,
 )
 
 __version__ = "0.1.0"
@@ -43,6 +42,5 @@ __all__ = [
     "is_dag",
     "knowledge_violations",
     "structural_hamming_distance",
-    "to_dot",
     "__version__",
 ]

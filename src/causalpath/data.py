@@ -171,7 +171,8 @@ class CorrelationMatrix:
     factorization of each well-conditioned block; `precision` inverts a block
     for the BIC score and for every block `partial_cholesky` declines, and
     holds the one conditioning rule both follow. `notes` keeps the
-    estimator's warnings, each prefixed by its pair, e.g. "A-B: ..."."""
+    estimator's warnings, each prefixed by its column or pair, e.g. "A: ..."
+    or "A-B: ..."."""
 
     names: list[str]
     matrix: np.ndarray
@@ -397,32 +398,23 @@ def pearson_matrix(d):
     return _corr_from_columns(d.values, d.names, "pearson", d.n)
 
 
-def _midranks(x):
-    """Ranks 1..n of x, tied values sharing the mean of their ranks."""
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    return (0.5 * (2 * ends - counts + 1))[inverse]
-
-
-def spearman_matrix(d):
-    """Rank correlations with midrank ties."""
-    if d.n < 3:
-        raise DataError("need at least 3 rows")
-    ranks = np.column_stack([_midranks(d.values[:, j]) for j in range(d.p)])
-    return _corr_from_columns(ranks, d.names, "spearman", d.n)
-
-
 def polychoric_matrix(d):
     """Pairwise two-step polychoric correlations for ordinal/binary data,
-    every pair solved at once. Every pair's estimator warnings are kept in
-    the result's `notes`; a matrix with a negative eigenvalue gets one more
+    every pair solved at once. The result's `notes` name each column that
+    shows fewer levels than its schema declares and keep every pair's
+    estimator warnings; a matrix with a negative eigenvalue gets one more
     note, and is returned unrepaired."""
     bad = [v.name for v in d.schema if v.kind == "continuous"]
     if bad:
         raise DataError(f"polychoric requires binary/ordinal columns; continuous: {bad}")
     names = d.names
+    notes = []
+    for v, col in zip(d.schema, d.values.T):
+        seen = len(np.unique(col))
+        if seen < v.levels:
+            notes.append(f"{v.name}: {seen} of {v.levels} declared levels observed")
     m, warnings = polychoric_correlations(d.values)
-    notes = [f"{names[i]}-{names[j]}: {w}" for (i, j), ws in warnings.items() for w in ws]
+    notes += [f"{names[i]}-{names[j]}: {w}" for (i, j), ws in warnings.items() for w in ws]
     low = np.linalg.eigvalsh(m).min(initial=1.0)
     if low < 0.0:
         notes.append(f"matrix indefinite: min eigenvalue {low:.4g}")
@@ -439,8 +431,6 @@ def correlation_matrix(d, method):
                   else "pearson")
     if method == "pearson":
         return pearson_matrix(d)
-    if method == "spearman":
-        return spearman_matrix(d)
     if method == "polychoric":
         return polychoric_matrix(d)
     raise DataError(f"unknown correlation method {method!r}")

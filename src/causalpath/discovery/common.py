@@ -1,14 +1,11 @@
 """Shared machinery for the discovery algorithms: configuration, input
-normalization, the order-independent skeleton phase and collider triples.
-Orientation lives in `graph.close_pattern`."""
+normalization and the per-run JSON record."""
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from itertools import combinations
 
 from ..data import CorrelationMatrix, Dataset, pearson_matrix
-from ..graph import MixedGraph
 from ..independence import FisherZTest
 from ..score import BicScorer
 
@@ -55,72 +52,6 @@ def as_scorer(source, cfg):
     if isinstance(source, BicScorer):
         return source
     return BicScorer(_correlations(source, "a scorer"), cfg.penalty_discount)
-
-
-def stable_skeleton(tester, cfg, bk):
-    """Order-independent skeleton search (deletions within a depth level use
-    the level-start adjacency sets). Returns the undirected graph and the
-    recorded separating sets keyed by frozen node pairs.
-
-    Knowledge: pairs required in either direction are never tested away;
-    forbidden pairs are NOT pre-removed (only tests delete edges).
-    """
-    nodes = sorted(tester.nodes)
-    g = MixedGraph(nodes, "cpdag")
-    for a, b in combinations(nodes, 2):
-        g.add_undirected(a, b)
-    sepsets: dict[frozenset, set] = {}
-    depth = 0
-    while True:
-        frozen = {v: set(g.adjacent(v)) for v in nodes}
-        enough = False
-        for x in nodes:
-            for y in sorted(frozen[x]):
-                if not g.has_edge(x, y):
-                    continue
-                if bk.is_required(x, y) or bk.is_required(y, x):
-                    continue
-                candidates = sorted(frozen[x] - {y})
-                if len(candidates) < depth:
-                    continue
-                enough = True
-                separate(g, tester, x, y, combinations(candidates, depth), sepsets)
-        depth += 1
-        if not enough:
-            break
-        if cfg.max_cond_size is not None and depth > cfg.max_cond_size:
-            break
-    return g, sepsets
-
-
-def separate(g, tester, x, y, sets, sepsets):
-    """Remove the edge x-y at the first conditioning set in `sets` that makes
-    x and y independent, and record that set; True iff one did."""
-    for zs in sets:
-        if tester(x, y, zs).independent:
-            g.remove_edge(x, y)
-            sepsets[frozenset((x, y))] = set(zs)
-            return True
-    return False
-
-
-def collider_triples(g, sepsets):
-    """Unshielded triples (x, z, y), x - z - y with x and y nonadjacent, whose
-    recorded separating set of x and y leaves out z."""
-    for z in sorted(g.nodes):
-        for x, y in combinations(g.adjacent(z), 2):
-            key = frozenset((x, y))
-            if not g.has_edge(x, y) and key in sepsets and z not in sepsets[key]:
-                yield x, z, y
-
-
-def ci_counters(tester):
-    """A run record's CI counters: queries, evaluated queries and the
-    evaluated answers by note (None where the tester keeps no such count)."""
-    notes = getattr(tester, "note_counts", None)
-    return {"ci_tests": getattr(tester, "calls", None),
-            "ci_evaluations": getattr(tester, "evaluations", None),
-            "ci_notes": None if notes is None else dict(sorted(notes.items()))}
 
 
 def finish_record(record, algorithm, cfg, bk, graph, started, sepsets=None, **extra):

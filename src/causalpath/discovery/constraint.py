@@ -1,23 +1,113 @@
-"""FCI: constraint-based search for a partial ancestral graph.
+"""Constraint-based search: PC-stable for a CPDAG and FCI for a PAG.
 
-The skeleton phase is shared with PC-stable; possible-d-separation pruning
-then removes edges that only a non-adjacent conditioning set can separate.
-`_pattern` orients the skeleton before and after that pass, and R1-R3 plus
-the discriminating-path rule then run to a fixpoint. Completeness-grade
-augmentations (selection-bias and tail rules) are out of scope and noted in
-run records. FCI keeps its own knowledge and collider step instead of
-`graph.close_pattern`: in a PAG a forbidden u->v sets only an arrowhead at
-u, and a pair forbidden both ways becomes u<->v, where `close_pattern`
-reports a conflict.
+Both share one skeleton phase, whose deletions within a depth level consult
+the level-start adjacency sets, so the output does not depend on variable
+order. PC orients with `graph.close_pattern`, the rule FGES uses too:
+knowledge, then the colliders the separating sets imply, then Meek closure.
+Conflicting orientations are skipped and reported in the run record.
+
+FCI's possible-d-separation pass then removes edges that only a non-adjacent
+conditioning set can separate. `_pattern` orients the skeleton before and
+after that pass, and R1-R3 plus the discriminating-path rule then run to a
+fixpoint. Completeness-grade augmentations (selection-bias and tail rules)
+are out of scope and noted in run records. FCI keeps its own knowledge and
+collider step: in a PAG a forbidden u->v sets only an arrowhead at u, and a
+pair forbidden both ways becomes u<->v, where `close_pattern` reports a
+conflict.
 """
 from __future__ import annotations
 
 import time
 from itertools import chain, combinations
 
-from ..graph import ARROW, CIRCLE, TAIL, MixedGraph, _bk, report
-from .common import (DiscoveryConfig, as_citester, ci_counters, collider_triples,
-                     finish_record, separate, stable_skeleton)
+from ..graph import ARROW, CIRCLE, TAIL, MixedGraph, _bk, close_pattern, report
+from .common import DiscoveryConfig, as_citester, finish_record
+
+
+def stable_skeleton(tester, cfg, bk):
+    """Order-independent skeleton search (deletions within a depth level use
+    the level-start adjacency sets). Returns the undirected graph and the
+    recorded separating sets keyed by frozen node pairs.
+
+    Knowledge: pairs required in either direction are never tested away;
+    forbidden pairs are NOT pre-removed (only tests delete edges).
+    """
+    nodes = sorted(tester.nodes)
+    g = MixedGraph(nodes, "cpdag")
+    for a, b in combinations(nodes, 2):
+        g.add_undirected(a, b)
+    sepsets: dict[frozenset, set] = {}
+    depth = 0
+    while True:
+        frozen = {v: set(g.adjacent(v)) for v in nodes}
+        enough = False
+        for x in nodes:
+            for y in sorted(frozen[x]):
+                if not g.has_edge(x, y):
+                    continue
+                if bk.is_required(x, y) or bk.is_required(y, x):
+                    continue
+                candidates = sorted(frozen[x] - {y})
+                if len(candidates) < depth:
+                    continue
+                enough = True
+                separate(g, tester, x, y, combinations(candidates, depth), sepsets)
+        depth += 1
+        if not enough:
+            break
+        if cfg.max_cond_size is not None and depth > cfg.max_cond_size:
+            break
+    return g, sepsets
+
+
+def separate(g, tester, x, y, sets, sepsets):
+    """Remove the edge x-y at the first conditioning set in `sets` that makes
+    x and y independent, and record that set; True iff one did."""
+    for zs in sets:
+        if tester(x, y, zs).independent:
+            g.remove_edge(x, y)
+            sepsets[frozenset((x, y))] = set(zs)
+            return True
+    return False
+
+
+def collider_triples(g, sepsets):
+    """Unshielded triples (x, z, y), x - z - y with x and y nonadjacent, whose
+    recorded separating set of x and y leaves out z."""
+    for z in sorted(g.nodes):
+        for x, y in combinations(g.adjacent(z), 2):
+            key = frozenset((x, y))
+            if not g.has_edge(x, y) and key in sepsets and z not in sepsets[key]:
+                yield x, z, y
+
+
+def ci_counters(tester):
+    """A run record's CI counters: queries, evaluated queries and the
+    evaluated answers by note (None where the tester keeps no such count)."""
+    notes = getattr(tester, "note_counts", None)
+    return {"ci_tests": getattr(tester, "calls", None),
+            "ci_evaluations": getattr(tester, "evaluations", None),
+            "ci_notes": None if notes is None else dict(sorted(notes.items()))}
+
+
+def pc(source, cfg=None, bk=None, record=None):
+    """Run PC-stable on a correlation matrix, dataset, or CI tester.
+
+    Returns a CPDAG over the tester's variables (lexicographic node order).
+    """
+    cfg = cfg or DiscoveryConfig()
+    bk = _bk(bk)
+    started = time.perf_counter()
+    tester = as_citester(source, cfg)
+
+    g, sepsets = stable_skeleton(tester, cfg, bk)
+    conflicts = []
+    g = close_pattern(g, collider_triples(g, sepsets), bk, conflicts)
+
+    finish_record(record, "pc", cfg, bk, g, started, sepsets,
+                  **ci_counters(tester),
+                  conflicts=conflicts)
+    return g
 
 
 def _set_mark(pag, node, other, mark, conflicts, reason):

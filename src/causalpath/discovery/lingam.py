@@ -130,14 +130,14 @@ def direct_lingam(dataset, cfg=None, bk=None, record=None):
         raise DiscoveryError(f"centered data has rank {rank} < p = {p} (n = {n}): "
                              "a constant or collinear column, or too few rows")
 
+    # a variable outside every tier waits only for its required parents
+    waits = {v: {u for u in names if bk._violates_tiers(v, u) or bk.is_required(u, v)}
+             for v in names}
     order = []
     remaining = list(names)
     columns = 0  # residuals whose entropy was computed
     while remaining:
-        # a variable outside every tier waits only for its required parents
-        cands = [v for v in remaining
-                 if not any(bk._violates_tiers(v, u) or bk.is_required(u, v)
-                            for u in remaining)] or remaining
+        cands = [v for v in remaining if waits[v].isdisjoint(remaining)] or remaining
         if len(cands) == 1:
             m = cands[0]
         else:

@@ -625,44 +625,3 @@ def knowledge_violations(g, bk):
             out.append(f"required edge {a}->{b} misoriented")
     return out
 
-
-def _dot_quote(name):
-    return '"%s"' % str(name).replace('"', '\\"')
-
-
-def to_dot(g, name="g"):
-    """Graphviz DOT text. Directed edges are plain `a -> b`, undirected edges
-    carry dir=none, bidirected dir=both; circle endpoints use odot arrow
-    shapes. Weighted edges get a label, penwidth proportional to |weight|,
-    blue for positive and red for negative coefficients."""
-    lines = [f"digraph {name} {{"]
-    for v in g.nodes:
-        lines.append(f"  {_dot_quote(v)};")
-    shape = {TAIL: "none", ARROW: "normal", CIRCLE: "odot"}
-    for a, b, ma, mb in g.edges():
-        attrs = []
-        if (ma, mb) == (TAIL, ARROW):
-            head, tail = a, b
-        elif (ma, mb) == (ARROW, TAIL):
-            head, tail = b, a
-        elif (ma, mb) == (TAIL, TAIL):
-            head, tail = a, b
-            attrs.append("dir=none")
-        elif (ma, mb) == (ARROW, ARROW):
-            head, tail = a, b
-            attrs.append("dir=both")
-        else:
-            head, tail = a, b
-            attrs.append("dir=both")
-            attrs.append(f"arrowtail={shape[ma]}")
-            attrs.append(f"arrowhead={shape[mb]}")
-        key = _pair(a, b)
-        if key in g._weights:
-            w = g._weights[key]
-            attrs.append(f'label="{w:.3f}"')
-            attrs.append(f"penwidth={0.5 + 3.5 * abs(w):.2f}")
-            attrs.append(f'color={"blue" if w >= 0 else "red"}')
-        attr_text = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_dot_quote(head)} -> {_dot_quote(tail)}{attr_text};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -3,8 +3,7 @@
 All testers share one calling convention: `tester(x, y, z) -> CiTestResult`
 with `tester.nodes` listing the variables it knows about. Results are pure
 functions of the inputs, symmetric in (x, y), and therefore safe to evaluate
-concurrently. A session log can wrap any tester to record every executed
-query for later audit of edge deletions.
+concurrently.
 
 The built-in testers answer each distinct query once. A query is keyed on
 its unordered pair and its conditioning set, and its answer is kept on the
@@ -25,7 +24,6 @@ and `chdtrc`.
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections import Counter
@@ -42,12 +40,6 @@ class IndependenceError(ValueError):
     pass
 
 
-def _finite_or_none(v):
-    """JSON has no NaN or infinity: such a value is written as null."""
-    v = float(v)
-    return v if np.isfinite(v) else None
-
-
 @dataclass
 class CiTestResult:
     statistic: float
@@ -55,15 +47,6 @@ class CiTestResult:
     dof_or_condsize: int
     independent: bool
     note: str = ""
-
-    def to_json_dict(self):
-        return {
-            "statistic": _finite_or_none(self.statistic),
-            "p_value": _finite_or_none(self.p_value),
-            "dof_or_condsize": int(self.dof_or_condsize),
-            "independent": bool(self.independent),
-            "note": self.note,
-        }
 
 
 def partial_correlation(c, x, y, z=()):
@@ -205,44 +188,3 @@ class GSquaredTest(MemoizedTester):
             return CiTestResult(0.0, 1.0, 0, True, note="degenerate")
         p = float(chdtrc(dof, g2))
         return CiTestResult(g2, p, dof, bool(p > self.alpha))
-
-
-class SessionLog:
-    """Wrap a tester, recording every executed query as a JSON-ready dict.
-    The wrapped tester's counters (`calls`, `evaluations`, `note_counts`)
-    read through, so a run's record keeps them."""
-
-    def __init__(self, tester, path=None):
-        self.tester = tester
-        self.nodes = tester.nodes
-        self.alpha = getattr(tester, "alpha", None)
-        self.records = []
-        self.path = path
-
-    @property
-    def calls(self):
-        return getattr(self.tester, "calls", len(self.records))
-
-    @property
-    def evaluations(self):
-        return getattr(self.tester, "evaluations", None)
-
-    @property
-    def note_counts(self):
-        return getattr(self.tester, "note_counts", None)
-
-    def __call__(self, x, y, z=()):
-        res = self.tester(x, y, z)
-        rec = {"x": x, "y": y, "z": sorted(z)}
-        rec.update(res.to_json_dict())
-        self.records.append(rec)
-        return res
-
-    def write(self, path=None):
-        path = path or self.path
-        if path is None:
-            raise IndependenceError("no path for session log")
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        return path

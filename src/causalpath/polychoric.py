@@ -159,10 +159,10 @@ class _Layout:
         return score[active], hess[active]
 
 
-def _solve(columns):
-    """Two-step estimates for every column pair i < j of an n x p code
-    matrix. Returns (pairs, rho, warnings), one entry per pair (i, j) in
-    row-major order."""
+def polychoric_correlations(columns):
+    """Two-step polychoric correlations of every column pair of an n x p
+    matrix of integer-coded ordinal samples. Returns (matrix, warnings),
+    where warnings[(i, j)] lists pair i < j's warnings (see polychoric_pair)."""
     columns = np.asarray(columns)
     p = columns.shape[1]
     codes, levels, thresholds = [], [], []
@@ -215,28 +215,19 @@ def _solve(columns):
         rho_all[k] = r
     for w in (w for ws in warnings for w in ws):
         logger.warning("polychoric: %s", w)
-    return pairs, rho_all, warnings
-
-
-def polychoric_correlations(columns):
-    """Two-step polychoric correlations of every column pair of an n x p
-    matrix of integer-coded ordinal samples. Returns (matrix, warnings),
-    where warnings[(i, j)] lists pair i < j's warnings (see polychoric_pair)."""
-    pairs, rho, warnings = _solve(columns)
-    p = np.shape(columns)[1]
     m = np.eye(p)
-    for (i, j), r in zip(pairs, rho):
-        m[i, j] = m[j, i] = r
+    m[pi, pj] = m[pj, pi] = rho_all
     return m, dict(zip(pairs, warnings))
 
 
 def polychoric_pair(x, y):
     """Two-step polychoric estimate for two integer-coded ordinal samples.
 
-    Returns (rho, warnings). Categories are taken from the observed values;
-    declared-but-absent levels therefore collapse away (a note is emitted).
-    Estimates ending on the clamp boundary carry a boundary warning, and an
-    iteration stopped by the sweep cap carries a no-convergence warning.
+    Returns (rho, warnings). Categories are taken from the observed values,
+    so a level that never occurs collapses away; only `polychoric_matrix`,
+    which knows the declared levels, notes that. Estimates ending on the
+    clamp boundary carry a boundary warning, and an iteration stopped by the
+    sweep cap carries a no-convergence warning.
     """
-    _, rho, warnings = _solve(np.column_stack([np.asarray(x), np.asarray(y)]))
-    return float(rho[0]), warnings[0]
+    m, warnings = polychoric_correlations(np.column_stack([np.asarray(x), np.asarray(y)]))
+    return float(m[0, 1]), warnings[0, 1]

@@ -11,8 +11,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from causalpath.discovery.fges import (_better, _is_clique, _semidirected_reachable,
-                                       _subsets)
+from causalpath.discovery.ges import _better, _is_clique, _semidirected_reachable, _subsets
 from causalpath.graph import ARROW, TAIL, MixedGraph, d_separated
 from causalpath.independence import CiTestResult
 from causalpath.polychoric import bvn_cell_probs, thresholds_from_counts

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import rankdata
 
 import causalpath
 from causalpath import polychoric
@@ -17,13 +16,11 @@ from causalpath.data import (
     SchemaConfig,
     UnmappableCellError,
     VariableSchema,
-    _midranks,
     clean,
     correlation_matrix,
     load_csv,
     pearson_matrix,
     polychoric_matrix,
-    spearman_matrix,
 )
 from causalpath.polychoric import bvn_cell_probs, polychoric_pair
 from causalpath.simulate import discretize, random_scm, sample_scm
@@ -157,43 +154,6 @@ class TestClean:
         assert str(rule) in str(err.value)
 
 
-class TestSpearman:
-    def test_hand_rank_formula(self):
-        # ranks of y = (1, 3, 2); sum d^2 = 2; rho = 1 - 6*2/(3*8) = 0.5
-        d = make_dataset(np.column_stack([[1, 2, 3], [3, 5, 4]]))
-        c = spearman_matrix(d)
-        assert c.value("v0", "v1") == pytest.approx(0.5, abs=1e-12)
-
-    def test_strictly_monotone_is_one(self):
-        d = make_dataset(np.column_stack([[1, 2, 3, 4], [10, 20, 25, 99]]))
-        assert spearman_matrix(d).value("v0", "v1") == pytest.approx(1.0)
-
-    def test_monotone_transform_invariance(self):
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal((100, 3))
-        base = spearman_matrix(make_dataset(x)).matrix
-        for fn in (np.exp, lambda v: v ** 3 + v, lambda v: 1 / (1 + np.exp(-v))):
-            y = x.copy()
-            y[:, 1] = fn(y[:, 1])
-            assert np.allclose(spearman_matrix(make_dataset(y)).matrix, base)
-
-    def test_constant_column_zero_with_warning(self):
-        d = make_dataset(np.column_stack([[1, 1, 1], [1, 2, 3]]))
-        c = spearman_matrix(d)
-        assert c.value("v0", "v1") == 0.0
-        assert c.matrix[0, 0] == 1.0
-
-    def test_tied_ordinal_midranks_match_rankdata(self):
-        rng = np.random.default_rng(21)
-        x = rng.integers(0, 5, size=(300, 3)).astype(float)
-        x[:, 2] = np.minimum(x[:, 2], 1.0)  # heavily tied binary column
-        for col in (*x.T, np.ones(7), np.array([3.0])):
-            assert np.array_equal(_midranks(col), rankdata(col))
-        ranks = np.column_stack([rankdata(c) for c in x.T])
-        c = spearman_matrix(make_dataset(x, kinds=["ordinal", "ordinal", "binary"]))
-        assert np.allclose(c.matrix, np.corrcoef(ranks, rowvar=False), rtol=0, atol=1e-15)
-
-
 def test_import_does_not_load_scipy_stats():
     # scipy.stats and scipy.optimize dominate import time; the package needs neither
     src = str(Path(causalpath.__file__).resolve().parents[1])
@@ -234,6 +194,15 @@ class TestPearson:
         d = make_dataset(np.column_stack([x, y]) * 1e200)
         with pytest.raises(DataError, match="non-finite"):
             pearson_matrix(d)
+
+    def test_constant_column_zero_with_warning(self, caplog):
+        d = make_dataset(np.column_stack([[1, 1, 1], [1, 2, 3]]))
+        with caplog.at_level(logging.WARNING, logger="causalpath.data"):
+            c = pearson_matrix(d)
+        assert c.value("v0", "v1") == 0.0
+        assert c.matrix[0, 0] == 1.0
+        assert [r.getMessage() for r in caplog.records] == [
+            "pearson correlation: constant columns set to 0: ['v0']"]
 
 
 class TestPolychoric:
@@ -292,6 +261,15 @@ class TestPolychoric:
         corr = polychoric_matrix(d)
         assert corr.notes == ["a-b: contingency table has empty cells"]
         assert corr.to_json_dict()["notes"] == corr.notes
+
+    def test_unobserved_declared_level_noted(self):
+        # no standard-normal draw passes 50, so the first column's top level
+        # stays empty; the second column shows all three of its levels
+        d = sample_scm(random_scm(2, 1.0, 4), 300)
+        a, b = d.names
+        corr = polychoric_matrix(discretize(d, {a: [0.0, 50.0], b: [-0.5, 0.5]}))
+        assert [n for n in corr.notes if not n.startswith(f"{a}-{b}:")] == [
+            f"{a}: 2 of 3 declared levels observed"]
 
     @pytest.mark.parametrize("levels", [2, 3, 6])
     @pytest.mark.parametrize("sign", [1, -1])

@@ -1,4 +1,6 @@
+import importlib
 import logging
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from causalpath.discovery import (
     fges,
     pc,
 )
-from causalpath.discovery.fges import _InsertCache
+from causalpath.discovery.ges import _InsertCache
 from causalpath.discovery import lingam
 from causalpath.discovery.lingam import _exogeneity
 from causalpath.independence import FisherZTest, GSquaredTest
@@ -409,7 +411,7 @@ class TestFges:
         with pytest.raises(ScoreError, match="singular"):
             scorer.local_score("T", {"A", "B"})
         rec = {}
-        with caplog.at_level(logging.WARNING, logger="causalpath.discovery.fges"):
+        with caplog.at_level(logging.WARNING, logger="causalpath.discovery.ges"):
             fges(corr, record=rec)
         assert any("skipped: singular regression" in r.getMessage() for r in caplog.records)
         assert rec["skipped_score_error"] >= 1
@@ -434,7 +436,7 @@ class TestFges:
         # the refused insert B -> A is computed again, with the same parent
         # set, once C is adjacent to A; it is logged and counted once
         rec = {}
-        with caplog.at_level(logging.WARNING, logger="causalpath.discovery.fges"):
+        with caplog.at_level(logging.WARNING, logger="causalpath.discovery.ges"):
             fges(pearson_matrix(survey_total(caused_by_a=True)), record=rec)
         logged = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
         assert logged and len(set(logged)) == len(logged) == rec["skipped_score_error"]
@@ -719,6 +721,14 @@ class TestInputs:
     def test_non_data_source_refused(self, algorithm):
         with pytest.raises(DiscoveryError, match="cannot build"):
             algorithm([[1.0, 0.3], [0.3, 1.0]])
+
+    def test_modules_not_shadowed_by_functions(self):
+        ges = importlib.import_module("causalpath.discovery.ges")
+        constraint = importlib.import_module("causalpath.discovery.constraint")
+        assert isinstance(ges, ModuleType) and callable(ges._better)
+        assert isinstance(constraint, ModuleType) and callable(constraint.stable_skeleton)
+        assert importlib.import_module("causalpath.discovery").fges is ges.fges
+        assert (pc, fci) == (constraint.pc, constraint.fci)
 
 
 class TestRunDiscovery:

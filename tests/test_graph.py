@@ -19,7 +19,6 @@ from causalpath.graph import (
     is_dag,
     knowledge_violations,
     structural_hamming_distance,
-    to_dot,
 )
 
 from oracles import (
@@ -73,6 +72,12 @@ class TestMixedGraph:
         g.set_weight("A", "B", 0.4)
         g2 = MixedGraph.from_json(g.to_json())
         assert g == g2
+
+    def test_json_export_parses(self):
+        g = chain()
+        data = json.loads(g.to_json())
+        assert data["nodes"] == ["A", "B", "C"]
+        assert len(data["edges"]) == 2
 
     def test_equality_ignores_node_order(self):
         g1 = MixedGraph(["a", "b"])
@@ -442,31 +447,3 @@ class TestBackgroundKnowledge:
         bk = BackgroundKnowledge(tiers=[["a"], ["b", "c"]], forbidden=[("c", "b")])
         bk2 = BackgroundKnowledge.from_json_dict(bk.to_json_dict())
         assert bk2.to_json_dict() == bk.to_json_dict()
-
-
-class TestDot:
-    def test_edge_conventions(self):
-        g = MixedGraph(["a", "b", "c", "d"], "pag")
-        g.add_directed("a", "b")
-        g.add_undirected("b", "c")
-        g.add_bidirected("c", "d")
-        g.add_edge("a", "d", CIRCLE, ARROW)
-        text = to_dot(g)
-        assert '"a" -> "b";' in text
-        assert "dir=none" in text
-        assert "dir=both" in text
-        assert "odot" in text
-
-    def test_weight_colors(self):
-        g = MixedGraph(["a", "b", "c"], "weighted-dag")
-        g.add_directed("a", "b", weight=0.5)
-        g.add_directed("a", "c", weight=-0.5)
-        text = to_dot(g)
-        assert "color=blue" in text and "color=red" in text
-        assert 'label="0.500"' in text
-
-    def test_json_export_parses(self):
-        g = chain()
-        data = json.loads(g.to_json())
-        assert data["nodes"] == ["A", "B", "C"]
-        assert len(data["edges"]) == 2

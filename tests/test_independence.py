@@ -1,4 +1,3 @@
-import json
 import logging
 import warnings
 from collections import Counter
@@ -15,14 +14,13 @@ from causalpath.data import (
     pearson_matrix,
     polychoric_matrix,
 )
-from causalpath.discovery import fci, pc
+from causalpath.discovery import pc
 from causalpath.graph import MixedGraph
 from causalpath.independence import (
     CiTestResult,
     FisherZTest,
     GSquaredTest,
     IndependenceError,
-    SessionLog,
     SingularConditioningError,
     partial_correlation,
 )
@@ -256,30 +254,24 @@ class TestFisherZ:
         ks = np.max(np.abs(pvals - grid))
         assert ks < 0.05
 
-    def test_indefinite_matrix_noted(self, caplog, tmp_path):
+    def test_indefinite_matrix_noted(self, caplog):
         # a small binarized sample gives an indefinite tetrachoric matrix
         # (minimum eigenvalue -0.147); some of PC's tests get a nonpositive
         # residual variance and so no partial correlation
         d = sample_scm(random_scm(8, 0.6, 21, weight_range=(0.8, 1.5)), 80)
         corr = polychoric_matrix(discretize(d, {v: [0.0] for v in d.names}))
-        log = SessionLog(FisherZTest(corr), path=tmp_path / "pc.jsonl")
+        tester, record = FisherZTest(corr), {}
         with warnings.catch_warnings(), caplog.at_level(logging.WARNING):
             warnings.simplefilter("error", RuntimeWarning)
-            pc(log)
-        nan = [r for r in log.records if r["p_value"] is None]
-        assert nan
-        assert all(r["note"] == "indefinite" and not r["independent"] for r in nan)
+            pc(tester, record=record)
+        answers = [CiTestResult(*a) for a in tester._memo.values()]
+        indefinite = [r for r in answers if r.note == "indefinite"]
+        assert indefinite
+        assert all(np.isnan(r.p_value) == (r.note == "indefinite") for r in answers)
+        assert not any(r.independent for r in indefinite)
         noted = [r for r in caplog.records
                  if r.name == "causalpath.independence" and "indefinite" in r.getMessage()]
-        assert len(noted) == len(nan)
-
-        def refuse(token):
-            raise ValueError(f"non-JSON constant {token}")
-
-        # the session log is strict JSON: NaN and infinity are written as null
-        with open(log.write(), encoding="utf-8") as fh:
-            lines = [json.loads(line, parse_constant=refuse) for line in fh]
-        assert lines == log.records
+        assert len(noted) == len(indefinite) == record["ci_notes"]["indefinite"]
 
     def test_pvalue_equals_scipy_stats(self):
         rng = np.random.default_rng(41)
@@ -407,17 +399,6 @@ class TestSymmetryAndLog:
         assert gt("v0", "v1", ["v2"]).statistic == pytest.approx(
             gt("v1", "v0", ["v2"]).statistic)
 
-    def test_session_log_jsonl(self, tmp_path):
-        t = SessionLog(FisherZTest(corr_of(np.eye(3), n=80)),
-                       path=tmp_path / "tests.jsonl")
-        t("v0", "v1")
-        t("v0", "v2", ["v1"])
-        path = t.write()
-        lines = [json.loads(line) for line in open(path, encoding="utf-8")]
-        assert len(lines) == 2
-        assert lines[1]["z"] == ["v1"]
-        assert {"statistic", "p_value", "independent"} <= set(lines[0])
-
 
 def _bits(res):
     """A result's fields, floats as their exact hex form (NaN included)."""
@@ -442,30 +423,6 @@ class TestMemo:
         second = t("v1", "v0", ["v3", "v2"])
         assert (t.calls, t.evaluations) == (2, 1)
         assert _bits(first) == _bits(second)
-
-    def test_session_log_sees_every_call(self, tmp_path):
-        inner = self.fisher_z()
-        log = SessionLog(inner, path=tmp_path / "tests.jsonl")
-        log("v0", "v1", ["v2"])
-        log("v1", "v0", ["v2"])
-        with open(log.write(), encoding="utf-8") as fh:
-            lines = [json.loads(line) for line in fh]
-        assert [(r["x"], r["y"]) for r in lines] == [("v0", "v1"), ("v1", "v0")]
-        assert lines[0]["statistic"] == lines[1]["statistic"]
-        assert (log.calls, inner.evaluations) == (2, 1)
-
-    @pytest.mark.parametrize("algorithm", [pc, fci])
-    def test_session_log_keeps_the_run_counters(self, algorithm, caplog):
-        # the indefinite sample gives some tests a note to count
-        d = sample_scm(random_scm(8, 0.6, 21, weight_range=(0.8, 1.5)), 80)
-        corr = polychoric_matrix(discretize(d, {v: [0.0] for v in d.names}))
-        plain, logged = {}, {}
-        with caplog.at_level(logging.ERROR):
-            algorithm(FisherZTest(corr), record=plain)
-            algorithm(SessionLog(FisherZTest(corr)), record=logged)
-        keys = ("ci_tests", "ci_evaluations", "ci_notes")
-        assert plain["ci_notes"]["indefinite"] > 0
-        assert [logged[k] for k in keys] == [plain[k] for k in keys]
 
     @pytest.mark.parametrize("make", ["fisher_z", "g2"])
     def test_memo_answer_equals_fresh_tester(self, make):
