@@ -19,9 +19,7 @@ from .graph import (
     apply_meek_rules,
     consistent_extension,
     cpdag_of,
-    d_separated,
     is_dag,
-    knowledge_violations,
     structural_hamming_distance,
 )
 
@@ -38,9 +36,7 @@ __all__ = [
     "apply_meek_rules",
     "consistent_extension",
     "cpdag_of",
-    "d_separated",
     "is_dag",
-    "knowledge_violations",
     "structural_hamming_distance",
     "__version__",
 ]

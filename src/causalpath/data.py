@@ -292,6 +292,9 @@ def load_csv(path, schema):
         rows = list(reader)
 
     header = [h.strip() for h in header]
+    dup = sorted({h for h in header if header.count(h) > 1})
+    if dup:
+        raise DataError(f"{path}: duplicated header names: {dup}")
     missing = [n for n in names if n not in header]
     if missing:
         raise MissingColumnError(f"{path}: columns missing from CSV: {missing}")

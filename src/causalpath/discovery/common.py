@@ -6,6 +6,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from ..data import CorrelationMatrix, Dataset, pearson_matrix
+from ..graph import _bk
 from ..independence import FisherZTest
 from ..score import BicScorer
 
@@ -31,6 +32,16 @@ class DiscoveryConfig:
         return asdict(self)
 
 
+def checked_knowledge(bk, nodes):
+    """The knowledge (empty when None), refused when it names a variable not
+    in `nodes`: a misspelled name would silently disable its constraint."""
+    bk = _bk(bk)
+    unknown = set().union(*bk.tiers, *bk.forbidden, *bk.required) - set(nodes)
+    if unknown:
+        raise DiscoveryError(f"knowledge names unknown variables: {sorted(unknown)}")
+    return bk
+
+
 def _correlations(source, what):
     """Pearson correlations of a dataset; a correlation matrix passes through."""
     if isinstance(source, Dataset):
@@ -44,12 +55,18 @@ def as_citester(source, cfg):
     """Normalize a CI-test source: a tester passes through, a correlation
     matrix gets Fisher-z, a dataset gets Fisher-z on Pearson correlations."""
     if callable(source) and hasattr(source, "nodes"):
+        alpha = getattr(source, "alpha", cfg.alpha)
+        if alpha != cfg.alpha:
+            raise DiscoveryError(f"tester alpha {alpha} differs from config alpha {cfg.alpha}")
         return source
     return FisherZTest(_correlations(source, "a CI test"), cfg.alpha)
 
 
 def as_scorer(source, cfg):
     if isinstance(source, BicScorer):
+        if source.penalty_discount != cfg.penalty_discount:
+            raise DiscoveryError(f"scorer penalty_discount {source.penalty_discount} differs "
+                                 f"from config penalty_discount {cfg.penalty_discount}")
         return source
     return BicScorer(_correlations(source, "a scorer"), cfg.penalty_discount)
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 import time
 from itertools import chain, combinations
 
-from ..graph import ARROW, CIRCLE, TAIL, MixedGraph, _bk, close_pattern, report
-from .common import DiscoveryConfig, as_citester, finish_record
+from ..graph import ARROW, CIRCLE, TAIL, MixedGraph, close_pattern, report
+from .common import DiscoveryConfig, as_citester, checked_knowledge, finish_record
 
 
 def stable_skeleton(tester, cfg, bk):
@@ -96,9 +96,9 @@ def pc(source, cfg=None, bk=None, record=None):
     Returns a CPDAG over the tester's variables (lexicographic node order).
     """
     cfg = cfg or DiscoveryConfig()
-    bk = _bk(bk)
     started = time.perf_counter()
     tester = as_citester(source, cfg)
+    bk = checked_knowledge(bk, tester.nodes)
 
     g, sepsets = stable_skeleton(tester, cfg, bk)
     conflicts = []
@@ -299,9 +299,9 @@ def _rule4(pag, sepsets, conflicts):
 def fci(source, cfg=None, bk=None, record=None):
     """Run FCI; returns a PAG (kind="pag") over the tester's variables."""
     cfg = cfg or DiscoveryConfig()
-    bk = _bk(bk)
     started = time.perf_counter()
     tester = as_citester(source, cfg)
+    bk = checked_knowledge(bk, tester.nodes)
     conflicts = []
 
     skeleton, sepsets = stable_skeleton(tester, cfg, bk)

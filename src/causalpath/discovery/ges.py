@@ -35,9 +35,9 @@ import time
 from functools import partial
 from itertools import combinations
 
-from ..graph import MixedGraph, NoExtensionError, _bk, consistent_extension, cpdag_of
+from ..graph import MixedGraph, NoExtensionError, consistent_extension, cpdag_of
 from ..score import ScoreError
-from .common import DiscoveryConfig, as_scorer, finish_record
+from .common import DiscoveryConfig, as_scorer, checked_knowledge, finish_record
 
 logger = logging.getLogger(__name__)
 
@@ -207,9 +207,9 @@ def fges(source, cfg=None, bk=None, record=None):
     scorer refused a regression or the result had no consistent extension.
     """
     cfg = cfg or DiscoveryConfig()
-    bk = _bk(bk)
     started = time.perf_counter()
     scorer = as_scorer(source, cfg)
+    bk = checked_knowledge(bk, scorer.names)
     nodes = sorted(scorer.names)
     conflicts = []
 

@@ -18,8 +18,8 @@ import time
 import numpy as np
 
 from ..data import Dataset
-from ..graph import MixedGraph, _bk
-from .common import DiscoveryConfig, DiscoveryError, finish_record
+from ..graph import MixedGraph
+from .common import DiscoveryConfig, DiscoveryError, checked_knowledge, finish_record
 
 _K1 = 79.047
 _K2 = 7.4129
@@ -117,7 +117,7 @@ def direct_lingam(dataset, cfg=None, bk=None, record=None):
     if not isinstance(dataset, Dataset):
         raise DiscoveryError("direct_lingam needs a Dataset (raw columns, not correlations)")
     cfg = cfg or DiscoveryConfig()
-    bk = _bk(bk)
+    bk = checked_knowledge(bk, dataset.names)
     started = time.perf_counter()
 
     names = sorted(dataset.names)

@@ -15,7 +15,6 @@ No module-level public function changes a graph passed to it, except
 from __future__ import annotations
 
 import heapq
-import json
 import logging
 from itertools import combinations
 
@@ -181,22 +180,15 @@ class MixedGraph:
             raise GraphError(f"no edge {a!r}-{b!r}")
         self._weights[_pair(a, b)] = float(w)
 
-    def _reach(self, v, step):
+    def descendants(self, v):
         seen = set()
-        stack = list(step(v))
+        stack = self.children(v)
         while stack:
             u = stack.pop()
             if u not in seen:
                 seen.add(u)
-                stack.extend(step(u))
+                stack.extend(self.children(u))
         return seen
-
-    def ancestors(self, v):
-        """All u with a directed path u -> ... -> v (v excluded)."""
-        return self._reach(v, self.parents)
-
-    def descendants(self, v):
-        return self._reach(v, self.children)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -210,9 +202,6 @@ class MixedGraph:
         if not isinstance(other, MixedGraph):
             return NotImplemented
         return self._end == other._end and self._weights == other._weights
-
-    def __hash__(self):
-        return hash(frozenset((v, frozenset(ends.items())) for v, ends in self._end.items()))
 
     def __repr__(self):
         arrow = {(TAIL, ARROW): "->", (ARROW, TAIL): "<-", (TAIL, TAIL): "--",
@@ -230,21 +219,6 @@ class MixedGraph:
                 e["weight"] = self._weights[key]
             edges.append(e)
         return {"kind": self.kind, "nodes": list(self.nodes), "edges": edges}
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, d):
-        g = cls(d["nodes"], d.get("kind", "dag"))
-        for e in d["edges"]:
-            g.add_edge(e["a"], e["b"], e.get("mark_a", TAIL), e.get("mark_b", ARROW),
-                       e.get("weight"))
-        return g
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
 
     def validate(self):
         """Check the invariants of the declared kind; raise GraphError on failure."""
@@ -290,51 +264,6 @@ def is_dag(g):
         if {ma, mb} != {TAIL, ARROW}:
             return False
     return not _has_directed_cycle(g)
-
-
-def d_separated(g, x, y, z=()):
-    """Decide whether x and y are d-separated by the set z in the DAG g.
-
-    Uses linear-time reachability over active trails: a path is blocked at a
-    non-collider inside z, and at a collider unless the collider or one of its
-    descendants is in z.
-    """
-    if not is_dag(g):
-        raise GraphError("d-separation requires a DAG")
-    g._check_node(x)
-    g._check_node(y)
-    zset = set(z)
-    for v in zset:
-        g._check_node(v)
-    if x == y or x in zset or y in zset:
-        raise GraphError("x, y must be distinct and disjoint from the conditioning set")
-
-    # z together with all its ancestors: the nodes at which a collider is open
-    an_z = zset.union(*(g.ancestors(v) for v in zset))
-
-    UP, DOWN = 0, 1  # whether the trail arrived from a child (UP) or parent (DOWN)
-    visited = set()
-    stack = [(x, UP)]
-    while stack:
-        v, d = stack.pop()
-        if v == y:
-            return False
-        if (v, d) in visited:
-            continue
-        visited.add((v, d))
-        if d == UP and v not in zset:
-            for p in g.parents(v):
-                stack.append((p, UP))
-            for c in g.children(v):
-                stack.append((c, DOWN))
-        elif d == DOWN:
-            if v not in zset:
-                for c in g.children(v):
-                    stack.append((c, DOWN))
-            if v in an_z:
-                for p in g.parents(v):
-                    stack.append((p, UP))
-    return True
 
 
 class BackgroundKnowledge:
@@ -386,17 +315,6 @@ class BackgroundKnowledge:
 
     def is_empty(self):
         return not self.tiers and not self.forbidden and not self.required
-
-    def to_json_dict(self):
-        return {
-            "tiers": [sorted(t) for t in self.tiers],
-            "forbidden": sorted(list(p) for p in self.forbidden),
-            "required": sorted(list(p) for p in self.required),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(d.get("tiers", ()), d.get("forbidden", ()), d.get("required", ()))
 
     def digest(self):
         """Compact, reproducible summary for run records."""
@@ -603,25 +521,3 @@ def structural_hamming_distance(g1, g2):
         if state(g1, a, b) != state(g2, a, b):
             count += 1
     return count
-
-
-def knowledge_violations(g, bk):
-    """Post-hoc audit of a graph against background knowledge.
-
-    Returns human-readable violation strings: definitely directed edges that
-    are forbidden, and required edges that are missing or contradicted.
-    """
-    bk = _bk(bk)
-    out = []
-    for a, b in g.directed_edges():
-        if bk.is_forbidden(a, b):
-            out.append(f"forbidden edge {a}->{b} present")
-    for a, b in sorted(bk.required):
-        if a not in g._end or b not in g._end:
-            continue
-        if not g.has_edge(a, b):
-            out.append(f"required edge {a}->{b} missing")
-        elif g.mark_at(a, b) == ARROW or g.mark_at(b, a) == TAIL:
-            out.append(f"required edge {a}->{b} misoriented")
-    return out
-

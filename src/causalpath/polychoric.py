@@ -60,22 +60,6 @@ def _bvn_pdf(h, k, rho):
     return pdf, pdf * (rho / s + (h * k * s - rho * q) / (s * s))
 
 
-def bvn_cell_probs(thresholds_x, thresholds_y, rho):
-    """Standard-bivariate-normal probabilities of every threshold rectangle.
-
-    Threshold vectors include the infinite endpoints; the result has shape
-    (len(tx)-1, len(ty)-1) and sums to 1.
-    """
-    tx = np.asarray(thresholds_x, dtype=float)
-    ty = np.asarray(thresholds_y, dtype=float)
-    cdf = np.zeros((len(tx), len(ty)))  # the -inf row and column stay 0
-    h, k = np.meshgrid(tx[1:-1], ty[1:-1], indexing="ij")
-    cdf[1:-1, 1:-1] = _bvn_cdf(h, k, rho)
-    cdf[-1, 1:] = ndtr(ty[1:])
-    cdf[1:, -1] = ndtr(tx[1:])
-    return cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
-
-
 def thresholds_from_counts(counts):
     """Latent thresholds from marginal counts, with +-inf endpoints."""
     n = counts.sum()

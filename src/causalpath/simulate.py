@@ -5,7 +5,6 @@ same spec and row count always reproduce the identical matrix.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -47,32 +46,6 @@ class ScmSpec:
             if scale <= 0:
                 raise SimulationError(f"noise scale for {v} must be positive")
             self.noise[v] = (family, float(scale))
-
-    def to_json_dict(self):
-        return {
-            "nodes": list(self.dag.nodes),
-            "edges": [{"a": a, "b": b, "weight": self.weights[(a, b)]}
-                      for a, b in self.dag.directed_edges()],
-            "noise": {v: {"family": f, "scale": s} for v, (f, s) in sorted(self.noise.items())},
-            "seed": self.seed,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, d):
-        g = MixedGraph(d["nodes"], "dag")
-        weights = {}
-        for e in d["edges"]:
-            g.add_directed(e["a"], e["b"])
-            weights[(e["a"], e["b"])] = e.get("weight", 1.0)
-        noise = {v: (spec["family"], spec["scale"]) for v, spec in d.get("noise", {}).items()}
-        return cls(g, weights, noise, d.get("seed", 0))
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
 
 
 def random_dag(p, edge_prob, seed):

@@ -1,43 +1,69 @@
-"""Independent brute-force oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
-Everything here deliberately takes the dumb route (path enumeration,
+Most of these deliberately take the dumb route (path enumeration,
 exhaustive DAG enumeration) so that the package's efficient implementations
-are checked against a second, unrelated derivation.
+are checked against a second, unrelated derivation. `OracleCI` is the
+exception: it answers by networkx's d-separation, and `TestDSeparation`
+cross-checks it against the path enumeration here.
 """
 from __future__ import annotations
 
 import logging
 from itertools import combinations, product
 
+import networkx as nx
 import numpy as np
+from scipy.special import ndtr
 
 from causalpath.discovery.ges import _better, _is_clique, _semidirected_reachable, _subsets
-from causalpath.graph import ARROW, TAIL, MixedGraph, d_separated
+from causalpath.graph import ARROW, TAIL, MixedGraph
 from causalpath.independence import CiTestResult
-from causalpath.polychoric import bvn_cell_probs, thresholds_from_counts
+from causalpath.polychoric import _bvn_cdf, thresholds_from_counts
 from causalpath.score import ScoreError
 
 logger = logging.getLogger(__name__)
 
 
 class OracleCI:
-    """Exact CI oracle reading independence off a DAG by d-separation."""
+    """Exact CI oracle reading independence off a DAG by networkx's
+    d-separation; every node is added, so isolated nodes work."""
 
     def __init__(self, dag, alpha=0.05):
-        self.dag = dag
+        self.graph = nx.DiGraph(dag.directed_edges())
+        self.graph.add_nodes_from(dag.nodes)
         self.alpha = alpha
         self.nodes = sorted(dag.nodes)
         self.calls = 0
 
     def __call__(self, x, y, z=()):
         self.calls += 1
-        sep = d_separated(self.dag, x, y, z)
+        sep = nx.is_d_separator(self.graph, {x}, {y}, set(z))
         return CiTestResult(0.0, 1.0 if sep else 0.0, len(tuple(z)), sep)
 
 
 def oracle_ci(dag, alpha=0.05):
     """CI-test function whose `independent` flag equals d-separation in dag."""
     return OracleCI(dag, alpha)
+
+
+def knowledge_violations(g, bk):
+    """Post-hoc audit of a graph against background knowledge.
+
+    Returns human-readable violation strings: definitely directed edges that
+    are forbidden, and required edges that are missing or contradicted.
+    """
+    out = []
+    for a, b in g.directed_edges():
+        if bk.is_forbidden(a, b):
+            out.append(f"forbidden edge {a}->{b} present")
+    for a, b in sorted(bk.required):
+        if a not in g.nodes or b not in g.nodes:
+            continue
+        if not g.has_edge(a, b):
+            out.append(f"required edge {a}->{b} missing")
+        elif g.mark_at(a, b) == ARROW or g.mark_at(b, a) == TAIL:
+            out.append(f"required edge {a}->{b} misoriented")
+    return out
 
 
 def random_dag_edges(p, edge_prob, rng):
@@ -395,6 +421,22 @@ def fges_best_insert_scan(g, scorer, bk, skip):
                 if _better(delta, (x, y, T), best):
                     best = (delta, x, y, T)
     return best
+
+
+def bvn_cell_probs(thresholds_x, thresholds_y, rho):
+    """Standard-bivariate-normal probabilities of every threshold rectangle.
+
+    Threshold vectors include the infinite endpoints; the result has shape
+    (len(tx)-1, len(ty)-1) and sums to 1.
+    """
+    tx = np.asarray(thresholds_x, dtype=float)
+    ty = np.asarray(thresholds_y, dtype=float)
+    cdf = np.zeros((len(tx), len(ty)))  # the -inf row and column stay 0
+    h, k = np.meshgrid(tx[1:-1], ty[1:-1], indexing="ij")
+    cdf[1:-1, 1:-1] = _bvn_cdf(h, k, rho)
+    cdf[-1, 1:] = ndtr(ty[1:])
+    cdf[1:, -1] = ndtr(tx[1:])
+    return cdf[1:, 1:] - cdf[:-1, 1:] - cdf[1:, :-1] + cdf[:-1, :-1]
 
 
 def polychoric_oracle(x, y):

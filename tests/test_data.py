@@ -22,10 +22,10 @@ from causalpath.data import (
     pearson_matrix,
     polychoric_matrix,
 )
-from causalpath.polychoric import bvn_cell_probs, polychoric_pair
+from causalpath.polychoric import polychoric_pair
 from causalpath.simulate import discretize, random_scm, sample_scm
 
-from oracles import polychoric_oracle
+from oracles import bvn_cell_probs, polychoric_oracle
 
 
 def make_dataset(values, kinds=None, names=None):
@@ -111,6 +111,13 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(f, [VariableSchema("a", "continuous")])
 
+    def test_duplicate_header_refused(self, tmp_path):
+        # a second "A" column would otherwise be dropped without a word
+        f = tmp_path / "d.csv"
+        f.write_text("A,B,A,C,C\n1,2,3,4,5\n")
+        with pytest.raises(DataError, match=r"duplicated header names: \['A', 'C'\]"):
+            load_csv(f, [VariableSchema("A", "continuous"), VariableSchema("B", "continuous")])
+
 
 class TestClean:
     def test_threshold_filter(self):
@@ -155,15 +162,17 @@ class TestClean:
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats and scipy.optimize dominate import time; the package needs neither
+    # scipy.stats and scipy.optimize dominate import time; the package needs
+    # neither, and networkx is for the tests' oracles only
     src = str(Path(causalpath.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import causalpath, "
             "causalpath.data, causalpath.independence, causalpath.score, "
             "causalpath.discovery, causalpath.simulate; "
-            "print('scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)")
+            "print([m for m in ('scipy.stats', 'scipy.optimize', 'networkx') "
+            "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "[]"
 
 
 class TestPearson:

@@ -13,7 +13,6 @@ from causalpath.graph import (
     MixedGraph,
     cpdag_of,
     is_dag,
-    knowledge_violations,
 )
 from causalpath.discovery import (
     DiscoveryConfig,
@@ -31,7 +30,7 @@ from causalpath.score import BicScorer, ScoreError
 from causalpath.simulate import ScmSpec, discretize, random_dag, random_scm, sample_scm
 
 from oracles import (build_dag, enumerate_dags, exhaustive_best_dag, fges_best_insert_scan,
-                     lingam_order, lingam_pairwise_scores, oracle_ci)
+                     knowledge_violations, lingam_order, lingam_pairwise_scores, oracle_ci)
 
 
 class MarginalOracle:
@@ -721,6 +720,37 @@ class TestInputs:
     def test_non_data_source_refused(self, algorithm):
         with pytest.raises(DiscoveryError, match="cannot build"):
             algorithm([[1.0, 0.3], [0.3, 1.0]])
+
+    @pytest.mark.parametrize("algorithm", [pc, fci, fges, direct_lingam])
+    def test_knowledge_naming_unknown_variables_refused(self, algorithm):
+        # a misspelled tier would otherwise silently disable itself
+        d = sample_scm(random_scm(3, 0.5, 5), 200)
+        source = d if algorithm is direct_lingam else pearson_matrix(d)
+        bk = BackgroundKnowledge(tiers=[["x00"], ["X01", "X02"]], forbidden=[("X01", "Y")],
+                                 required=[("Z", "X02")])
+        with pytest.raises(DiscoveryError, match=r"unknown variables: \['Y', 'Z', 'x00'\]"):
+            algorithm(source, bk=bk)
+        algorithm(source, bk=BackgroundKnowledge(tiers=[["X00"], ["X01", "X02"]]))
+
+    @pytest.mark.parametrize("algorithm", [pc, fci])
+    def test_tester_alpha_must_match_config(self, algorithm):
+        c = pearson_matrix(sample_scm(random_scm(3, 0.5, 5), 200))
+        rec = {}
+        with pytest.raises(DiscoveryError, match="alpha"):
+            algorithm(FisherZTest(c, 0.001), DiscoveryConfig(), record=rec)
+        algorithm(FisherZTest(c, 0.001), DiscoveryConfig(alpha=0.001), record=rec)
+        assert rec["config"]["alpha"] == 0.001
+        no_alpha = oracle_ci(random_dag(3, 0.5, 5))
+        del no_alpha.alpha  # a tester without a declared alpha is taken as it is
+        algorithm(no_alpha, DiscoveryConfig(alpha=0.2))
+
+    def test_scorer_penalty_must_match_config(self):
+        c = pearson_matrix(sample_scm(random_scm(3, 0.5, 5), 200))
+        with pytest.raises(DiscoveryError, match="penalty_discount"):
+            fges(BicScorer(c, 2.0), DiscoveryConfig())
+        rec = {}
+        fges(BicScorer(c, 2.0), DiscoveryConfig(penalty_discount=2.0), record=rec)
+        assert rec["config"]["penalty_discount"] == 2.0
 
     def test_modules_not_shadowed_by_functions(self):
         ges = importlib.import_module("causalpath.discovery.ges")

@@ -15,9 +15,7 @@ from causalpath.graph import (
     apply_meek_rules,
     consistent_extension,
     cpdag_of,
-    d_separated,
     is_dag,
-    knowledge_violations,
     structural_hamming_distance,
 )
 
@@ -30,6 +28,8 @@ from oracles import (
     d_separated_bruteforce,
     enumerate_dags,
     has_cycle_dfs,
+    knowledge_violations,
+    oracle_ci,
     random_dag_edges,
 )
 
@@ -67,15 +67,9 @@ class TestMixedGraph:
         with pytest.raises(GraphError):
             g.add_directed("a", "a")
 
-    def test_json_roundtrip(self):
-        g = collider()
-        g.set_weight("A", "B", 0.4)
-        g2 = MixedGraph.from_json(g.to_json())
-        assert g == g2
-
     def test_json_export_parses(self):
         g = chain()
-        data = json.loads(g.to_json())
+        data = json.loads(json.dumps(g.to_json_dict()))
         assert data["nodes"] == ["A", "B", "C"]
         assert len(data["edges"]) == 2
 
@@ -86,16 +80,18 @@ class TestMixedGraph:
         g2.add_directed("a", "b")
         assert g1 == g2
 
-    def test_equality_and_hash_ignore_insertion_order(self):
+    def test_equality_ignores_insertion_order(self):
         g1 = MixedGraph(["a", "b", "c"], "pag")
         g1.add_edge("a", "b", CIRCLE, ARROW)
         g1.add_undirected("b", "c")
         g2 = MixedGraph(["c", "b", "a"], "pag")
         g2.add_undirected("c", "b")
         g2.add_edge("b", "a", ARROW, CIRCLE)
-        assert g1 == g2 and hash(g1) == hash(g2)
+        assert g1 == g2
         g2.set_mark("a", "b", TAIL)
         assert g1 != g2
+        with pytest.raises(TypeError):  # mutable, so not hashable
+            hash(g1)
 
     def test_copy_is_independent(self):
         g = collider()
@@ -126,8 +122,8 @@ class TestMixedGraph:
                 g.add_edge(a, b, ma, mb)
             expected.append((a, b, ma, mb))
         assert g.edges() == sorted(expected)
-        g2 = MixedGraph.from_json(g.to_json())
-        assert g2 == g and g2.edges() == g.edges()
+        assert [(e["a"], e["b"], e["mark_a"], e["mark_b"])
+                for e in g.to_json_dict()["edges"]] == sorted(expected)
 
 
 class TestIsDag:
@@ -167,26 +163,28 @@ class TestIsDag:
             assert is_dag(built) == (not has_cycle_dfs(nodes, edges))
 
 
+def oracle_sep(g, x, y, z=()):
+    return oracle_ci(g)(x, y, z).independent
+
+
 class TestDSeparation:
+    """The CI oracle behind the PC and FCI oracle tests."""
+
     def test_chain_blocked_by_middle(self):
-        assert d_separated(chain(), "A", "C", ["B"])
-        assert not d_separated(chain(), "A", "C")
+        assert oracle_sep(chain(), "A", "C", ["B"])
+        assert not oracle_sep(chain(), "A", "C")
 
     def test_collider_opens_when_conditioned(self):
         g = collider()
-        assert d_separated(g, "A", "C")
-        assert not d_separated(g, "A", "C", ["B"])
+        assert oracle_sep(g, "A", "C")
+        assert not oracle_sep(g, "A", "C", ["B"])
 
     def test_collider_descendant_opens_path(self):
         g = MixedGraph(["A", "B", "C", "D"])
         g.add_directed("A", "B")
         g.add_directed("C", "B")
         g.add_directed("B", "D")
-        assert not d_separated(g, "A", "C", ["D"])
-
-    def test_unknown_node(self):
-        with pytest.raises(GraphError):
-            d_separated(chain(), "A", "Z")
+        assert not oracle_sep(g, "A", "C", ["D"])
 
     def test_matches_path_enumeration_oracle(self):
         rng = np.random.default_rng(11)
@@ -194,13 +192,14 @@ class TestDSeparation:
             p = int(rng.integers(3, 8))
             nodes, edges = random_dag_edges(p, float(rng.choice([0.2, 0.4, 0.6])), rng)
             g = build_dag(nodes, edges)
+            oracle = oracle_ci(g)
             names = sorted(nodes)
             for x, y in combinations(names, 2):
                 rest = [v for v in names if v not in (x, y)]
                 for r in range(min(3, len(rest)) + 1):
                     for zs in combinations(rest, r):
-                        assert d_separated(g, x, y, zs) == d_separated_bruteforce(g, x, y, zs), (
-                            edges, x, y, zs)
+                        sep = oracle(x, y, zs).independent
+                        assert sep == d_separated_bruteforce(g, x, y, zs), (edges, x, y, zs)
 
 
 class TestMeekRules:
@@ -315,7 +314,7 @@ class TestCpdagOf:
                          if a != b and (a, b) not in required and rng.random() < 0.1]
             bk = BackgroundKnowledge(tiers, forbidden, required)
             c = cpdag_of(build_dag(nodes, edges), bk, [])
-            assert knowledge_violations(c, bk) == [], (edges, bk.to_json_dict())
+            assert knowledge_violations(c, bk) == [], (edges, tiers, forbidden, required)
 
     def test_same_cpdag_iff_same_dsep_statements(self):
         # exhaustive over all DAGs on 3 nodes
@@ -442,8 +441,3 @@ class TestBackgroundKnowledge:
         v = knowledge_violations(g, bk)
         assert any("forbidden" in s for s in v)
         assert any("required" in s for s in v)
-
-    def test_json_roundtrip(self):
-        bk = BackgroundKnowledge(tiers=[["a"], ["b", "c"]], forbidden=[("c", "b")])
-        bk2 = BackgroundKnowledge.from_json_dict(bk.to_json_dict())
-        assert bk2.to_json_dict() == bk.to_json_dict()
