@@ -166,13 +166,12 @@ class Dataset:
 
 @dataclass
 class CorrelationMatrix:
-    """p x p correlation matrix with its method and sample size.
-    `partial_cholesky` gives Fisher-z its partial correlations from a scalar
-    factorization of each well-conditioned block; `precision` inverts a block
-    for the BIC score and for every block `partial_cholesky` declines, and
-    holds the one conditioning rule both follow. `notes` keeps the
-    estimator's warnings, each prefixed by its column or pair, e.g. "A: ..."
-    or "A-B: ..."."""
+    """p x p correlation matrix with its method and sample size, and the one
+    reader of its blocks: Fisher-z asks `partial_correlation` and the BIC
+    score `residual_variance`. Both read a certified block from a scalar
+    Cholesky factor and any other from `precision`, which holds the
+    conditioning rule. `notes` keeps the estimator's warnings, each prefixed
+    by its column or pair, e.g. "A: ..." or "A-B: ..."."""
 
     names: list[str]
     matrix: np.ndarray
@@ -181,6 +180,8 @@ class CorrelationMatrix:
     notes: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        if not self.n >= 1:
+            raise DataError(f"sample size n = {self.n} must be >= 1")
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (len(self.names), len(self.names)):
             raise DataError("matrix shape does not match names")
@@ -196,7 +197,7 @@ class CorrelationMatrix:
         if m.size and (np.abs(m) > 1.0 + 1e-12).any():
             raise DataError("correlation entries outside [-1, 1]")
         self.matrix = np.clip(m, -1.0, 1.0)
-        self._rows = self.matrix.tolist()  # Python floats for partial_cholesky
+        self._rows = self.matrix.tolist()  # Python floats for _cholesky_row
 
     def index(self, name):
         try:
@@ -216,23 +217,20 @@ class CorrelationMatrix:
             raise SingularConditioningError(names)
         return (vec / lam) @ vec.T
 
-    def partial_cholesky(self, x, y, z=()):
-        """The last row's two trailing entries (l21, l22) of the Cholesky
-        factor of the (*z, x, y) block, so that the partial correlation of x
-        and y given z is l21 / sqrt(l21**2 + l22**2); None when the block is
-        not certified.
+    def _cholesky_row(self, names):
+        """The last row of the Cholesky factor of the block over `names`, in
+        that order; None when the block is not certified.
 
         With positive pivots d_i (the squared diagonal of the factor), the
         unit-diagonal k x k block has max eigenvalue <= trace = k and min
         eigenvalue >= det / k**(k - 1), det = prod(d_i), so its condition
         number is at most k**k / det. A block is certified only when every
         pivot is > 0 and k**k <= det * _COND_LIMIT / 10; the factor 10 covers
-        rounding in the condition number `precision` computes, so
-        `precision` accepts every certified block. Indefinite, near-singular
-        and ill-conditioned blocks are declined and left to `precision`.
+        rounding in the condition number `precision` computes, so `precision`
+        accepts every certified block and is left every other one.
         """
         rows = self._rows
-        idx = [self.index(v) for v in (*z, x, y)]
+        idx = [self.index(v) for v in names]
         factor = []
         det = 1.0
         for i, a in enumerate(idx):
@@ -255,7 +253,32 @@ class CorrelationMatrix:
         k = len(idx)
         if k ** k > det * (_COND_LIMIT / 10.0):
             return None
-        return li[-2], li[-1]
+        return li
+
+    def partial_correlation(self, x, y, z=()):
+        """Partial correlation of x and y given z: l21 / sqrt(l21**2 + l22**2)
+        from the last row of the certified (*z, x, y) factor, otherwise from
+        the precision of the (x, y, *z) block; NaN when that block is
+        indefinite and gives x or y a negative residual variance."""
+        if x in z or y in z or x == y:
+            raise DataError("x, y must be distinct and disjoint from z")
+        row = self._cholesky_row([*z, x, y])
+        if row is not None:
+            l21, l22 = row[-2:]
+            return l21 / math.sqrt(l21 * l21 + l22 * l22)
+        prec = self.precision([x, y, *z])
+        scale = prec[0, 0] * prec[1, 1]
+        return float(-prec[0, 1] / np.sqrt(scale)) if scale > 0.0 else math.nan
+
+    def residual_variance(self, node, parents=()):
+        """Residual variance of node on parents: the last pivot of the certified
+        (*parents, node) factor, or else 1 / precision[0, 0] of the (node,
+        *parents) block, which is <= 0 when that block is indefinite."""
+        row = self._cholesky_row([*parents, node])
+        if row is not None:
+            return row[-1] * row[-1]
+        p00 = float(self.precision([node, *parents])[0, 0])
+        return 1.0 / p00 if p00 else -math.inf
 
     def value(self, a, b):
         return float(self.matrix[self.index(a), self.index(b)])

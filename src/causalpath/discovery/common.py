@@ -2,6 +2,7 @@
 normalization and the per-run JSON record."""
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 
@@ -25,8 +26,13 @@ class DiscoveryConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise DiscoveryError("alpha must lie in (0, 1)")
-        if self.penalty_discount <= 0:
-            raise DiscoveryError("penalty_discount must be positive")
+        depth = self.max_cond_size
+        if depth is not None and (type(depth) is not int or depth < 0):
+            raise DiscoveryError(f"max_cond_size {depth!r} must be None or an int >= 0")
+        if not 0.0 < self.penalty_discount < math.inf:
+            raise DiscoveryError("penalty_discount must be positive and finite")
+        if not 0.0 <= self.prune_threshold < math.inf:
+            raise DiscoveryError("prune_threshold must be finite and >= 0")
 
     def to_json_dict(self):
         return asdict(self)

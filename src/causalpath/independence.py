@@ -13,14 +13,9 @@ a kept answer always equals its recomputation. Passing one tester to both
 `pc` and `fci` therefore shares its answers between the two searches.
 `note_counts` counts the evaluated answers by note.
 
-Fisher-z takes its partial correlation from `CorrelationMatrix.partial_cholesky`,
-a plain-Python Cholesky factorization of the (*z, x, y) block that certifies
-the block's condition number, with no LAPACK call. A block it declines
-(indefinite, near-singular or ill-conditioned) goes to
-`CorrelationMatrix.precision`, whose eigendecomposition decides as before
-when a conditioning set is near-singular; a certified block is one that rule
-accepts too. P-values come straight from the `scipy.special` ufuncs `ndtr`
-and `chdtrc`.
+Fisher-z takes each partial correlation from `CorrelationMatrix` and treats
+a near-singular, indefinite or saturated block as dependent, with a note.
+P-values come straight from the `scipy.special` ufuncs `ndtr` and `chdtrc`.
 """
 from __future__ import annotations
 
@@ -47,25 +42,6 @@ class CiTestResult:
     dof_or_condsize: int
     independent: bool
     note: str = ""
-
-
-def partial_correlation(c, x, y, z=()):
-    """Partial correlation of x and y given z in the correlation matrix c:
-    from `c.partial_cholesky` when it certifies the block, otherwise from the
-    precision of the (x, y, *z) block; NaN when that block is indefinite and
-    gives x or y a negative residual variance."""
-    z = list(z)
-    if x in z or y in z or x == y:
-        raise IndependenceError("x, y must be distinct and disjoint from z")
-    tail = c.partial_cholesky(x, y, z)
-    if tail is not None:
-        l21, l22 = tail
-        return l21 / math.sqrt(l21 * l21 + l22 * l22)
-    prec = c.precision([x, y, *z])
-    scale = prec[0, 0] * prec[1, 1]
-    if scale <= 0.0:
-        return float("nan")
-    return float(-prec[0, 1] / np.sqrt(scale))
 
 
 class MemoizedTester:
@@ -117,7 +93,7 @@ class FisherZTest(MemoizedTester):
         if n <= len(z) + 3:
             raise IndependenceError(f"need n > |Z| + 3 (n={n}, |Z|={len(z)})")
         try:
-            r = partial_correlation(self.corr, x, y, z)
+            r = self.corr.partial_correlation(x, y, z)
         except SingularConditioningError:
             # near-singular conditioning: treat as dependent, keep searching
             logger.warning("fisher-z: near-singular conditioning set %s for (%s, %s); "

@@ -1,16 +1,12 @@
 """Decomposable Gaussian BIC over a correlation matrix.
 
 The local score of a node given a parent set is twice the profiled Gaussian
-log-likelihood of its linear regression minus a penalty-discounted BIC term.
-Scores are memoized per (node, parent-set); a cached value always equals its
-recomputation. The residual variance is 1 / precision[0, 0] of the
-node-plus-parents block (`CorrelationMatrix.precision`), so a near-singular
-regression is refused by the rule Fisher-z uses. Unlike Fisher-z, the score
-does not first try `CorrelationMatrix.partial_cholesky`: each (node,
-parent-set) is scored once, so an eigendecomposition per score costs little,
-and the conditioning rule stays in one place. A refusal is memoized too:
-asking again raises a new ScoreError with the same message, so `evaluations`
-counts each (node, parent-set) once.
+log-likelihood of its linear regression, with the residual variance from
+`CorrelationMatrix.residual_variance`, minus a penalty-discounted BIC term;
+a near-singular or indefinite regression raises ScoreError. Scores and
+refusals are memoized per (node, parent-set): a cached value equals its
+recomputation, and asking again for a refused one raises a new ScoreError
+with the same message, so `evaluations` counts each (node, parent-set) once.
 """
 from __future__ import annotations
 
@@ -54,13 +50,12 @@ class BicScorer:
 
     def _score(self, node, parents):
         try:
-            p00 = float(self.corr.precision([node, *parents])[0, 0])
+            sigma2 = self.corr.residual_variance(node, parents)
         except SingularConditioningError as err:
             raise ScoreError(f"singular regression of {node} on {parents}: {err}") from None
-        if p00 <= 0.0:
-            raise ScoreError(f"residual variance 1/{p00:.3g} <= 0 for {node} on "
+        if sigma2 <= 0.0:
+            raise ScoreError(f"residual variance {sigma2:.3g} <= 0 for {node} on "
                              f"{parents}: the correlation matrix is indefinite")
-        sigma2 = 1.0 / p00
         n = self.n
         loglik = -0.5 * n * (LOG_2PI + np.log(sigma2) + 1.0)
         return 2.0 * loglik - self.penalty_discount * (len(parents) + 1) * np.log(n)

@@ -1,4 +1,5 @@
 import logging
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +174,19 @@ def test_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_only_data_reads_correlation_blocks():
+    # Fisher-z and BIC ask CorrelationMatrix for partial correlations and
+    # residual variances, so the rule that picks the Cholesky or the
+    # eigendecomposition path for a block lives in data.py alone
+    package = Path(causalpath.__file__).resolve().parent
+    calls = re.compile(r"\.precision\(|\beigh\b")
+    found = [f"{path.relative_to(package)}:{i}"
+             for path in sorted(package.rglob("*.py")) if path.name != "data.py"
+             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if calls.search(line)]
+    assert found == []
 
 
 class TestPearson:
@@ -396,6 +410,12 @@ class TestCorrelationMatrixType:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(DataError, match="non-finite"):
             CorrelationMatrix(["a", "b"], np.array([[1.0, bad], [bad, 1.0]]), "pearson", 10)
+
+    @pytest.mark.parametrize("n", [0, -5, np.nan])
+    def test_sample_size_below_one_refused(self, n):
+        # n = 0 reached BIC's log(n), and FGES returned infinite scores
+        with pytest.raises(DataError, match="sample size"):
+            CorrelationMatrix(["a", "b"], np.eye(2), "pearson", n)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(DataError, match="duplicate"):

@@ -299,18 +299,29 @@ def indefinite_tetrachoric():
 
 
 class TestFisherZPaths:
-    """Fisher-z's scalar Cholesky path changes no decision, and no query on
-    a well-conditioned matrix reaches the eigendecomposition."""
+    """The scalar Cholesky path of Fisher-z and BIC changes no decision, and
+    no query or score on a well-conditioned matrix reaches the
+    eigendecomposition."""
 
     @staticmethod
     def runs(corr, cfg):
+        """PC's, FCI's and FGES's graphs and records without wall time. FGES's
+        scores go to a list of their own, since the two paths round them
+        differently."""
         out = []
-        for alg in (pc, fci):
+        for alg in (pc, fci, fges):
             rec = {}
             graph = alg(corr, cfg, record=rec)
             del rec["wall_time_ms"]
+            if alg is fges:
+                rec["scores"] = [rec.pop("total_score"), rec.pop("empty_score")]
+                rec["scores"] += [step.pop("delta") for step in rec["trace"]]
             out.append((graph.to_json_dict(), rec))
         return out
+
+    @staticmethod
+    def without_eigh_path(monkeypatch):
+        monkeypatch.setattr(CorrelationMatrix, "_cholesky_row", lambda self, names: None)
 
     def test_same_output_as_eigh_path(self, monkeypatch):
         cases = [(pearson_matrix(sample_scm(random_scm(9, 0.35, seed), 400)),
@@ -318,9 +329,16 @@ class TestFisherZPaths:
         cases += [(pearson_matrix(sample_scm(random_scm(8, 0.5, 6), 500)), DiscoveryConfig()),
                   (indefinite_tetrachoric(), DiscoveryConfig())]
         fast = [self.runs(corr, cfg) for corr, cfg in cases]
-        monkeypatch.setattr(CorrelationMatrix, "partial_cholesky", lambda self, x, y, z=(): None)
-        assert [self.runs(corr, cfg) for corr, cfg in cases] == fast
+        scores = [run[2][1].pop("scores") for run in fast]
+        self.without_eigh_path(monkeypatch)
+        slow = [self.runs(corr, cfg) for corr, cfg in cases]
+        for got, want in zip([run[2][1].pop("scores") for run in slow], scores):
+            # a delta is a difference of local scores, so its rounding is
+            # measured against the size of the scores
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * abs(want[1]))
+        assert slow == fast
         assert fast[-1][0][1]["ci_notes"]["indefinite"] > 0
+        assert fast[-1][2][1]["skipped_score_error"] > 0
 
     def test_no_eigendecomposition_per_query(self, monkeypatch):
         corr = pearson_matrix(sample_scm(random_scm(20, 3 / 19, 7), 1200))
@@ -332,13 +350,15 @@ class TestFisherZPaths:
 
         monkeypatch.setattr(causalpath.data.np.linalg, "eigh", counting)
         cfg = DiscoveryConfig(max_cond_size=2)
-        records = [rec for _, rec in self.runs(corr, cfg)]
-        assert min(rec["ci_evaluations"] for rec in records) > 1000
+        pc_rec, fci_rec, fges_rec = [rec for _, rec in self.runs(corr, cfg)]
+        assert min(pc_rec["ci_evaluations"], fci_rec["ci_evaluations"]) > 1000
+        assert fges_rec["score_evaluations"] > 1000
         assert sizes == []
         # the counter sees the eigendecomposition path: one call per evaluation
-        monkeypatch.setattr(CorrelationMatrix, "partial_cholesky", lambda self, x, y, z=(): None)
-        records = [rec for _, rec in self.runs(corr, cfg)]
-        assert len(sizes) == sum(rec["ci_evaluations"] for rec in records)
+        self.without_eigh_path(monkeypatch)
+        pc_rec, fci_rec, fges_rec = [rec for _, rec in self.runs(corr, cfg)]
+        assert len(sizes) == (pc_rec["ci_evaluations"] + fci_rec["ci_evaluations"]
+                              + fges_rec["score_evaluations"])
 
     @pytest.mark.parametrize("alg", [pc, fci])
     def test_record_counts_notes(self, alg, caplog):
@@ -751,6 +771,19 @@ class TestInputs:
         rec = {}
         fges(BicScorer(c, 2.0), DiscoveryConfig(penalty_discount=2.0), record=rec)
         assert rec["config"]["penalty_discount"] == 2.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_cond_size", -1), ("max_cond_size", 1.5), ("max_cond_size", True),
+        ("penalty_discount", float("inf")), ("penalty_discount", float("nan")),
+        ("penalty_discount", 0.0), ("prune_threshold", -1.0),
+        ("prune_threshold", float("inf")), ("prune_threshold", float("nan")),
+    ])
+    def test_config_refuses_bad_values(self, field, value):
+        # PC ran max_cond_size=-1 as depth 0 and 1.5 as depth 1, while the
+        # record kept the value as given
+        with pytest.raises(DiscoveryError, match=field):
+            DiscoveryConfig(**{field: value})
+        DiscoveryConfig(**{field: 0 if field == "max_cond_size" else 2.0})
 
     def test_modules_not_shadowed_by_functions(self):
         ges = importlib.import_module("causalpath.discovery.ges")

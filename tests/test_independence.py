@@ -9,6 +9,7 @@ from scipy.stats import chi2, norm
 from causalpath.data import (
     _COND_LIMIT,
     CorrelationMatrix,
+    DataError,
     Dataset,
     VariableSchema,
     pearson_matrix,
@@ -22,8 +23,8 @@ from causalpath.independence import (
     GSquaredTest,
     IndependenceError,
     SingularConditioningError,
-    partial_correlation,
 )
+from causalpath.score import BicScorer, ScoreError
 from causalpath.simulate import discretize, random_scm, sample_scm
 
 from oracles import eigh_partial_correlation, oracle_ci, spd_correlation
@@ -46,14 +47,14 @@ def discrete_dataset(columns, names=None):
 class TestPartialCorrelation:
     def test_empty_set_is_raw_entry(self):
         c = corr_of([[1, 0.37, 0], [0.37, 1, 0], [0, 0, 1]])
-        assert partial_correlation(c, "v0", "v1") == pytest.approx(0.37)
+        assert c.partial_correlation("v0", "v1") == pytest.approx(0.37)
 
     def test_recursive_formula_example(self):
         m = np.full((3, 3), 0.5)
         np.fill_diagonal(m, 1.0)
         c = corr_of(m)
         # (0.5 - 0.25) / (1 - 0.25) = 1/3
-        assert partial_correlation(c, "v0", "v1", ["v2"]) == pytest.approx(1 / 3)
+        assert c.partial_correlation("v0", "v1", ["v2"]) == pytest.approx(1 / 3)
 
     def test_matches_residual_regression_oracle(self):
         rng = np.random.default_rng(17)
@@ -72,23 +73,29 @@ class TestPartialCorrelation:
             rxx = m[xi, xi] - sxz @ np.linalg.solve(szz, sxz)
             ryy = m[yi, yi] - syz @ np.linalg.solve(szz, syz)
             oracle = rxy / np.sqrt(rxx * ryy)
-            assert partial_correlation(c, x, y, z) == pytest.approx(oracle, abs=1e-10)
+            assert c.partial_correlation(x, y, z) == pytest.approx(oracle, abs=1e-10)
 
     def test_singular_submatrix_reports_set(self):
         m = np.array([[1.0, 1.0, 0.3], [1.0, 1.0, 0.3], [0.3, 0.3, 1.0]])
         c = corr_of(m)
         with pytest.raises(SingularConditioningError) as err:
-            partial_correlation(c, "v0", "v2", ["v1"])
+            c.partial_correlation("v0", "v2", ["v1"])
         assert err.value.names == ("v0", "v2", "v1")
 
     def test_relabeling_outside_xyz_invariant(self):
         rng = np.random.default_rng(23)
         m = spd_correlation(5, rng)
         c = corr_of(m)
-        base = partial_correlation(c, "v0", "v1", ["v2"])
+        base = c.partial_correlation("v0", "v1", ["v2"])
         perm = [0, 1, 2, 4, 3]  # swap the two unused variables
         c2 = corr_of(m[np.ix_(perm, perm)])
-        assert partial_correlation(c2, "v0", "v1", ["v2"]) == pytest.approx(base)
+        assert c2.partial_correlation("v0", "v1", ["v2"]) == pytest.approx(base)
+
+    @pytest.mark.parametrize("x, y, z", [("v0", "v0", []), ("v0", "v1", ["v0"]),
+                                         ("v0", "v1", ["v2", "v1"])])
+    def test_overlapping_query_refused(self, x, y, z):
+        with pytest.raises(DataError, match="distinct and disjoint"):
+            corr_of(np.eye(3)).partial_correlation(x, y, z)
 
 
 def equicorrelation_block(k, cond):
@@ -178,29 +185,67 @@ class TestCholeskyCertificate:
             x, y, *z = c.names[:2] + list(rng.permutation(c.names[2:]))
             ref = eigh_partial_correlation(c.matrix, 0, 1, [c.index(v) for v in z])
             note = FisherZTest(c)(x, y, z).note
-            tail = c.partial_cholesky(x, y, z)
-            if tail is not None:
+            if c._cholesky_row([*z, x, y]) is not None:
                 size = np.abs(np.linalg.eigvalsh(c.matrix))
                 cond = size.max() / size.min()
                 assert cond <= _COND_LIMIT
                 # both paths round with an error that grows with the condition number
-                r = partial_correlation(c, x, y, z)
+                r = c.partial_correlation(x, y, z)
                 assert abs(r - ref) <= 1e-12 + 10 * np.finfo(float).eps * cond
                 assert note == ""
                 seen["certified"] += 1
             elif ref is None:
                 with pytest.raises(SingularConditioningError):
-                    partial_correlation(c, x, y, z)
+                    c.partial_correlation(x, y, z)
                 assert note == "near-singular"
                 seen[note] += 1
             else:
-                assert float(partial_correlation(c, x, y, z)).hex() == ref.hex()
+                assert float(c.partial_correlation(x, y, z)).hex() == ref.hex()
                 assert note == ("indefinite" if np.isnan(ref) else
                                 "saturated" if abs(ref) >= 1.0 else "")
                 seen[note or "declined"] += 1
         assert sum(seen.values()) == 500
         assert min(seen[k] for k in ("certified", "near-singular", "indefinite",
                                      "saturated", "declined")) >= 10, seen
+
+    def test_residual_variance_certified_or_precision_path(self):
+        rng = np.random.default_rng(2208)
+        seen = Counter()
+        for m in certificate_blocks(rng):
+            c = corr_of(m, n=200)
+            node, *parents = rng.permutation(c.names)
+            scorer = BicScorer(c)
+            try:
+                ref = 1.0 / float(c.precision([node, *parents])[0, 0])
+            except SingularConditioningError:
+                ref = None
+            if c._cholesky_row([*parents, node]) is not None:
+                size = np.abs(np.linalg.eigvalsh(c.matrix))
+                cond = size.max() / size.min()
+                assert cond <= _COND_LIMIT
+                rv = c.residual_variance(node, parents)
+                assert abs(rv - ref) <= 1e-12 + 10 * np.finfo(float).eps * cond
+                assert np.isfinite(scorer.local_score(node, parents))
+                seen["certified"] += 1
+            elif ref is None:
+                with pytest.raises(SingularConditioningError):
+                    c.residual_variance(node, parents)
+                with pytest.raises(ScoreError, match="singular regression"):
+                    scorer.local_score(node, parents)
+                seen["near-singular"] += 1
+            else:
+                rv = c.residual_variance(node, parents)
+                assert rv.hex() == ref.hex()
+                if ref <= 0.0:
+                    with pytest.raises(ScoreError, match="indefinite"):
+                        scorer.local_score(node, parents)
+                    seen["indefinite"] += 1
+                else:
+                    assert np.isfinite(scorer.local_score(node, parents))
+                    seen["declined"] += 1
+        assert sum(seen.values()) == 500
+        assert min(seen[k] for k in ("certified", "near-singular", "indefinite",
+                                     "declined")) >= 10, seen
 
 
 class TestFisherZ:

@@ -3,7 +3,7 @@ import pytest
 
 from causalpath.data import pearson_matrix
 from causalpath.graph import MixedGraph, cpdag_of, is_dag
-from causalpath.independence import FisherZTest, partial_correlation
+from causalpath.independence import FisherZTest
 from causalpath.score import BicScorer
 from causalpath.simulate import (
     ScmSpec,
@@ -62,7 +62,7 @@ class TestSampleScm:
         spec = ScmSpec(g, {("a", "b"): 0.9, ("b", "c"): 0.9},
                        {v: ("gaussian", 1.0) for v in "abc"}, seed=5)
         d = sample_scm(spec, 20000)
-        r = partial_correlation(pearson_matrix(d), "a", "c", ["b"])
+        r = pearson_matrix(d).partial_correlation("a", "c", ["b"])
         assert abs(r) < 0.03
 
     def test_empirical_matches_implied_covariance(self):
