@@ -2,9 +2,9 @@
 
 Forward phase: repeatedly apply the best score-improving Insert operator;
 backward phase: the best Delete operator; both to a local maximum. After
-every accepted operator the graph is rebuilt as
-`cpdag_of(consistent_extension(g), bk, conflicts)`: the textbook rebuild
-(Chickering 2002) with knowledge applied as in PC, by `close_pattern`, before
+every accepted operator the graph is rebuilt as `cpdag_of(g, bk, conflicts)`
+on the operator's PDAG, whose v-structures each consistent extension keeps
+(Chickering 2002); knowledge is applied as in PC, by `close_pattern`, before
 the v-structures and a single Meek closure.
 
 The forward phase keeps its operators between steps (Ramsey et al. 2017).
@@ -12,7 +12,8 @@ The gain of Insert(x, y, T) depends only on the local state of the pair:
 whether x and y are adjacent, pa(y), the undirected neighbours of y, and
 which of those x is adjacent to. `_InsertCache` keeps, for each pair, every
 T that knowledge admits and that gains more than the phase's stop, and
-recomputes a pair only when its local state changed. The two validity
+recomputes a pair only when its local state changed, which it reads only
+for a pair whose y's (pa, neighbours) or x's adjacency moved. The two validity
 checks (NaT is a clique; no semi-directed path from y to x avoids NaT)
 depend on the whole graph, so they are never cached. The search walks the
 cached operators in the order a full scan visits them, under the same
@@ -103,24 +104,28 @@ class _InsertCache:
         self.bk = bk
         self.refused = refused
         self.nodes = sorted(scorer.names)
+        self.adj, self.local = {}, {}  # node -> adjacency, (pa, nb) at the last refresh
         self.state = {}  # (y, x) -> the local state its operators were computed in
         self.ops = {}    # (y, x) -> [(delta, T, NaT)] in subset order
 
     def refresh(self, g):
         """Recompute each pair (x, y) whose local state changed: x adjacent
         to y, pa(y), the undirected neighbours of y, and which of those x is
-        adjacent to."""
+        adjacent to. Only y's (pa, neighbours) or x's adjacency can move it."""
         adj = {v: frozenset(g.adjacent(v)) for v in self.nodes}
+        local = {v: (frozenset(g.parents(v)), frozenset(g.undirected_neighbors(v)))
+                 for v in self.nodes}
+        moved = [v for v in self.nodes if self.adj.get(v) != adj[v]]
         for y in self.nodes:
-            pa_y = frozenset(g.parents(y))
-            nb_y = frozenset(g.undirected_neighbors(y))
-            for x in self.nodes:
+            pa_y, nb_y = local[y]
+            for x in self.nodes if self.local.get(y) != local[y] else moved:
                 if x == y:
                     continue
                 state = (y in adj[x], pa_y, nb_y, nb_y & adj[x])
                 if self.state.get((y, x)) != state:
                     self.state[y, x] = state
                     self.ops[y, x] = self._pair_ops(x, y, *state)
+        self.adj, self.local = adj, local
 
     def _pair_ops(self, x, y, adjacent, pa_y, nb_y, na):
         """The operators of pair (x, y), a function of its local state only."""
@@ -217,7 +222,7 @@ def fges(source, cfg=None, bk=None, record=None):
     for a, b in sorted(bk.required):
         g.add_directed(a, b)
     if bk.required:
-        g = cpdag_of(consistent_extension(g), bk, conflicts)
+        g = cpdag_of(g, bk, conflicts)
 
     empty_score = sum(scorer.local_score(v, ()) for v in nodes)
     trace = []
@@ -235,7 +240,7 @@ def fges(source, cfg=None, bk=None, record=None):
                 break
             delta, x, y, extra = best
             try:
-                g = cpdag_of(consistent_extension(applier(g, x, y, extra)), bk, conflicts)
+                g = cpdag_of(applier(g, x, y, extra), bk, conflicts)
             except NoExtensionError as err:
                 logger.warning("fges %s(%s, %s, %s) produced an inextensible pattern: %s",
                                phase, x, y, extra, err)

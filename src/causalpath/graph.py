@@ -9,8 +9,8 @@ weighted DAGs. A pair of nodes has at most one edge, with one mark ("tail",
     a <-> b     arrow at both ends (bidirected)
     a o-> b     circle at a, arrow at b
 
-No module-level public function changes a graph passed to it, except
-`orient_by_knowledge`, which orients its argument in place.
+No module-level public function changes a graph passed to it. The pattern
+rule and the consistent-extension test run on one kernel of node sets.
 """
 from __future__ import annotations
 
@@ -180,16 +180,6 @@ class MixedGraph:
             raise GraphError(f"no edge {a!r}-{b!r}")
         self._weights[_pair(a, b)] = float(w)
 
-    def descendants(self, v):
-        seen = set()
-        stack = self.children(v)
-        while stack:
-            u = stack.pop()
-            if u not in seen:
-                seen.add(u)
-                stack.extend(self.children(u))
-        return seen
-
     # -- plumbing ----------------------------------------------------------
 
     def copy(self, kind=None):
@@ -332,11 +322,6 @@ def _bk(bk):
     return bk if bk is not None else _EMPTY_BK
 
 
-def _would_cycle(g, a, b):
-    """Would orienting a -> b close a directed cycle (a reachable from b)?"""
-    return a == b or a in g.descendants(b)
-
-
 def report(conflicts, msg):
     """Record a skipped orientation in `conflicts` (if a list) and the log,
     unless `conflicts` already holds it."""
@@ -347,16 +332,135 @@ def report(conflicts, msg):
     logger.warning(msg)
 
 
-def _try_orient(g, a, b, bk, conflicts, reason):
-    """Orient a - b as a -> b if knowledge and acyclicity allow it; report otherwise."""
-    if bk.is_forbidden(a, b):
-        report(conflicts, f"{reason}: orientation {a}->{b} forbidden by knowledge; skipped")
+class _Pattern:
+    """The kernel the pattern rule runs on: the skeleton and the parent,
+    child and undirected-neighbour sets of each node of a tail/arrow graph,
+    read from a MixedGraph once and written back once by `write`."""
+
+    def __init__(self, g):
+        self.adj = {v: set(ends) for v, ends in g._end.items()}
+        self.pa, self.ch, self.nb = ({v: set() for v in g.nodes} for _ in range(3))
+        for a, ends in g._end.items():
+            for b, ma in ends.items():
+                marks = (ma, g._end[b][a])
+                if marks == (TAIL, TAIL):
+                    self.nb[a].add(b)
+                elif marks == (TAIL, ARROW):
+                    self.ch[a].add(b)
+                    self.pa[b].add(a)
+                elif marks != (ARROW, TAIL):
+                    raise GraphError(f"{a}-{b} has marks {marks}; tail/arrow graphs only")
+
+    def write(self, g):
+        """Replace g's edges with the kernel's, keeping its weights; returns g."""
+        g._end = {v: {} for v in g.nodes}
+        for v in g.nodes:
+            for u in self.nb[v]:
+                g._end[v][u] = TAIL
+            for c in self.ch[v]:
+                g._end[v][c] = TAIL
+                g._end[c][v] = ARROW
+        return g
+
+    def undirected(self):
+        return sorted((a, b) for a, nb in self.nb.items() for b in nb if a < b)
+
+    def orient(self, a, b):
+        """Turn the undirected a - b into a -> b."""
+        self.nb[a].remove(b)
+        self.nb[b].remove(a)
+        self.ch[a].add(b)
+        self.pa[b].add(a)
+
+    def peel(self):
+        """The nodes in sink-peeling order; see `consistent_extension`. A sink
+        has no child left, and each undirected neighbour left is adjacent to
+        every other node left adjacent to it."""
+        remaining = set(self.adj)
+        order = []
+        while remaining:
+            for x in sorted(remaining, reverse=True):
+                left = self.adj[x] & remaining
+                if not self.ch[x] & remaining and all(
+                        left - {u} <= self.adj[u] for u in self.nb[x] & remaining):
+                    break
+            else:
+                raise NoExtensionError(min(remaining))
+            order.append(x)
+            remaining.remove(x)
+        return order
+
+    def close(self, colliders, bk, conflicts):
+        """The pattern rule; see `close_pattern`. A pair forbidden both ways
+        stays undirected and is reported."""
+        for a, b in () if bk.is_empty() else self.undirected():
+            req_ab, req_ba = bk.is_required(a, b), bk.is_required(b, a)
+            forb_ab, forb_ba = bk.is_forbidden(a, b), bk.is_forbidden(b, a)
+            if req_ab:
+                self.orient(a, b)
+            elif req_ba:
+                self.orient(b, a)
+            elif forb_ab and forb_ba:
+                report(conflicts, f"edge {a}-{b} is forbidden in both directions "
+                                  "but survived the tests")
+            elif forb_ab:
+                self.orient(b, a)
+            elif forb_ba:
+                self.orient(a, b)
+        for x, z, y in colliders:
+            for u in (x, y):
+                if u in self.pa[z]:
+                    continue
+                if u in self.ch[z]:
+                    report(conflicts, f"collider {x}->{z}<-{y}: conflicts with existing {z}->{u}")
+                elif bk.is_forbidden(u, z):
+                    report(conflicts, f"collider arrowhead {u}->{z} forbidden by knowledge; "
+                                      "skipped")
+                else:
+                    self.orient(u, z)
+        self.meek(bk, conflicts)
+
+    def meek(self, bk, conflicts):
+        """Meek closure; see `apply_meek_rules`. A sweep visits the undirected
+        edges in sorted order."""
+        arcs = [arc for a, b in self.undirected() for arc in ((a, b), (b, a))]
+        changed = True
+        while changed:
+            changed = False
+            arcs = [(u, v) for u, v in arcs if v in self.nb[u]]
+            for u, v in arcs:
+                if v not in self.nb[u] or not self._compelled(u, v):
+                    continue
+                if bk.is_forbidden(u, v):
+                    report(conflicts, f"meek: orientation {u}->{v} forbidden by knowledge; skipped")
+                elif self._descends(u, v):
+                    report(conflicts, f"meek: orientation {u}->{v} would create a cycle; skipped")
+                else:
+                    self.orient(u, v)
+                    changed = True
+
+    def _compelled(self, a, b):
+        """Do any of the four Meek rules compel a -> b for the undirected a - b?"""
+        pa, nb, adj = self.pa, self.nb, self.adj
+        # rule 1: c -> a with c and b nonadjacent; rule 2: a -> c -> b
+        if not pa[a] <= adj[b] or self.ch[a] & pa[b]:
+            return True
+        # rule 3: a - c -> b and a - d -> b with c, d nonadjacent
+        if any(d not in adj[c] for c, d in combinations(nb[a] & pa[b], 2)):
+            return True
+        # rule 4: d -> c -> b with a - d, a adjacent to c, d and b nonadjacent
+        return any((pa[c] & nb[a]) - adj[b] for c in pa[b] & adj[a])
+
+    def _descends(self, a, b):
+        """Is a a descendant of b?"""
+        seen, stack = set(), [b]
+        while stack:
+            new = self.ch[stack.pop()] - seen
+            if a in new:
+                return True
+            seen |= new
+            stack.extend(new)
         return False
-    if _would_cycle(g, a, b):
-        report(conflicts, f"{reason}: orientation {a}->{b} would create a cycle; skipped")
-        return False
-    g.orient(a, b)
-    return True
 
 
 def apply_meek_rules(g, bk=None, conflicts=None):
@@ -367,72 +471,9 @@ def apply_meek_rules(g, bk=None, conflicts=None):
     `conflicts` (a list, if given) and the module logger. Returns a new graph;
     never removes an orientation.
     """
-    bk = _bk(bk)
-    for a, b, ma, mb in g.edges():
-        if CIRCLE in (ma, mb):
-            raise GraphError("Meek rules apply to tail/arrow graphs only")
-    out = g.copy()
-    changed = True
-    while changed:
-        changed = False
-        for a, b, _, _ in out.edges():
-            for u, v in ((a, b), (b, a)):
-                if (out.is_undirected(u, v) and _meek_applies(out, u, v)
-                        and _try_orient(out, u, v, bk, conflicts, "meek")):
-                    changed = True
-    return out
-
-
-def _meek_applies(g, a, b):
-    """Do any of the four Meek rules compel a -> b for the undirected a-b?"""
-    adj_b = set(g.adjacent(b))
-    # rule 1: c -> a, c and b nonadjacent
-    for c in g.parents(a):
-        if c != b and c not in adj_b:
-            return True
-    # rule 2: a -> c -> b
-    for c in g.children(a):
-        if g.is_directed(c, b):
-            return True
-    # rule 3: a - c -> b and a - d -> b with c, d nonadjacent
-    spokes = [c for c in g.undirected_neighbors(a) if g.is_directed(c, b)]
-    for c, d in combinations(spokes, 2):
-        if not g.has_edge(c, d):
-            return True
-    # rule 4: d -> c -> b with a - d undirected, a adjacent to c, d and b nonadjacent
-    for c in g.parents(b):
-        if c == a or not g.has_edge(a, c):
-            continue
-        for d in g.parents(c):
-            if d != a and d != b and g.is_undirected(a, d) and not g.has_edge(d, b):
-                return True
-    return False
-
-
-def orient_by_knowledge(g, bk, conflicts):
-    """Orient in place the undirected edges forced by required/forbidden pairs or tiers.
-
-    A pair forbidden in both directions that survived the skeleton stays
-    undirected and is reported as a conflict.
-    """
-    if bk.is_empty():
-        return
-    for a, b, ma, mb in g.edges():
-        if (ma, mb) != (TAIL, TAIL):
-            continue
-        req_ab, req_ba = bk.is_required(a, b), bk.is_required(b, a)
-        forb_ab, forb_ba = bk.is_forbidden(a, b), bk.is_forbidden(b, a)
-        if req_ab:
-            g.orient(a, b)
-        elif req_ba:
-            g.orient(b, a)
-        elif forb_ab and forb_ba:
-            report(conflicts, f"edge {a}-{b} is forbidden in both directions "
-                              "but survived the tests")
-        elif forb_ab:
-            g.orient(b, a)
-        elif forb_ba:
-            g.orient(a, b)
+    k = _Pattern(g)
+    k.meek(_bk(bk), conflicts)
+    return k.write(g.copy())
 
 
 def close_pattern(g, colliders, bk=None, conflicts=None):
@@ -442,35 +483,26 @@ def close_pattern(g, colliders, bk=None, conflicts=None):
     then close under Meek's rules. Knowledge goes first, so no later step
     directs an edge against it. Skips are reported as in `apply_meek_rules`.
     Returns a new graph."""
-    bk = _bk(bk)
-    g = g.copy()
-    orient_by_knowledge(g, bk, conflicts)
-    for x, z, y in colliders:
-        for u in (x, y):
-            if g.is_directed(u, z):
-                continue
-            if g.is_directed(z, u):
-                report(conflicts, f"collider {x}->{z}<-{y}: conflicts with existing {z}->{u}")
-            elif bk.is_forbidden(u, z):
-                report(conflicts, f"collider arrowhead {u}->{z} forbidden by knowledge; skipped")
-            else:
-                g.orient(u, z)
-    return apply_meek_rules(g, bk, conflicts)
+    k = _Pattern(g)
+    k.close(colliders, _bk(bk), conflicts)
+    return k.write(g.copy())
 
 
-def cpdag_of(dag, bk=None, conflicts=None):
-    """The CPDAG (Markov equivalence class) of a DAG: `close_pattern` over its
-    skeleton and v-structures. Under knowledge `bk` the result directs no
-    forbidden edge and every required edge of the skeleton, so it may differ
-    from the DAG's own CPDAG; skips are reported through `conflicts`."""
-    if not is_dag(dag):
-        raise GraphError("cpdag_of requires a DAG")
-    c = MixedGraph(dag.nodes, "cpdag")
-    for a, b, _, _ in dag.edges():
-        c.add_undirected(a, b)
-    colliders = [(x, v, y) for v in sorted(dag.nodes)
-                 for x, y in combinations(dag.parents(v), 2) if not dag.has_edge(x, y)]
-    return close_pattern(c, colliders, bk, conflicts)
+def cpdag_of(g, bk=None, conflicts=None):
+    """The CPDAG (Markov equivalence class) of a DAG, or of the consistent
+    extensions of a tail/arrow PDAG, which share its v-structures:
+    `close_pattern` over its skeleton and v-structures. Raises
+    NoExtensionError as `consistent_extension` does. Under knowledge `bk` the
+    result directs no forbidden edge and every required edge of the skeleton,
+    so it may differ from the class's own CPDAG; skips go to `conflicts`."""
+    k = _Pattern(g)
+    k.peel()
+    colliders = [(x, v, y) for v in sorted(g.nodes)
+                 for x, y in combinations(sorted(k.pa[v]), 2) if y not in k.adj[x]]
+    k.nb = {v: set(adj) for v, adj in k.adj.items()}
+    k.pa, k.ch = ({v: set() for v in g.nodes} for _ in range(2))
+    k.close(colliders, _bk(bk), conflicts)
+    return k.write(MixedGraph(g.nodes, "cpdag"))
 
 
 def consistent_extension(g):
@@ -482,28 +514,11 @@ def consistent_extension(g):
     edge then points from a later-peeled node to an earlier one: a DAG.
     Raises NoExtensionError naming an obstructing node if none exists.
     """
-    for a, b, ma, mb in g.edges():
-        if CIRCLE in (ma, mb) or (ma, mb) == (ARROW, ARROW):
-            raise GraphError("consistent_extension needs a tail/arrow partially directed graph")
-    out = g.copy(kind="dag")
-    remaining = set(g.nodes)
-    while remaining:
-        sink = None
-        for x in sorted(remaining, reverse=True):
-            if any(c in remaining for c in out.children(x)):
-                continue
-            und = [u for u in out.undirected_neighbors(x) if u in remaining]
-            adj = [u for u in out.adjacent(x) if u in remaining]
-            if all(out.has_edge(u, w) for u in und for w in adj if w != u):
-                sink = x
-                break
-        if sink is None:
-            raise NoExtensionError(min(remaining))
-        for u in out.undirected_neighbors(sink):
-            if u in remaining:
-                out.orient(u, sink)
-        remaining.remove(sink)
-    return out
+    k = _Pattern(g)
+    rank = {v: i for i, v in enumerate(k.peel())}
+    for a, b in k.undirected():
+        k.orient(*((a, b) if rank[a] > rank[b] else (b, a)))
+    return k.write(g.copy(kind="dag"))
 
 
 def structural_hamming_distance(g1, g2):

@@ -23,8 +23,8 @@ class ScoreError(ValueError):
 
 class BicScorer:
     def __init__(self, corr, penalty_discount=1.0):
-        if penalty_discount <= 0:
-            raise ScoreError("penalty_discount must be positive")
+        if not 0.0 < penalty_discount < np.inf:
+            raise ScoreError("penalty_discount must be positive and finite")
         self.corr = corr
         self.n = corr.n
         self.penalty_discount = penalty_discount

@@ -125,6 +125,18 @@ def all_undirected_paths(g, x, y):
     return paths
 
 
+def descendants(g, v):
+    """Nodes reachable from v along directed edges."""
+    seen = set()
+    stack = g.children(v)
+    while stack:
+        u = stack.pop()
+        if u not in seen:
+            seen.add(u)
+            stack.extend(g.children(u))
+    return seen
+
+
 def path_blocked(g, path, zset, desc_cache):
     """Blocking of one undirected path under the chain/fork/collider rules."""
     for i in range(1, len(path) - 1):
@@ -132,7 +144,7 @@ def path_blocked(g, path, zset, desc_cache):
         collider = g.is_directed(a, v) and g.is_directed(b, v)
         if collider:
             if v not in desc_cache:
-                desc_cache[v] = g.descendants(v) | {v}
+                desc_cache[v] = descendants(g, v) | {v}
             if not (desc_cache[v] & zset):
                 return True
         else:
@@ -210,9 +222,12 @@ def skeleton_and_vstructures(nodes, edges):
 def cpdag_bruteforce(nodes, edges):
     """CPDAG of a DAG as the orientation-union of its equivalence class,
     with the class found by matching the (skeleton, v-structure) signature
-    over every DAG on the node set."""
+    over every acyclic orientation of its skeleton."""
     sig = skeleton_and_vstructures(nodes, edges)
-    members = [e for e in enumerate_dags(nodes) if skeleton_and_vstructures(nodes, e) == sig]
+    orientations = ([(a, b) if code else (b, a) for (a, b), code in zip(edges, codes)]
+                    for codes in product((0, 1), repeat=len(edges)))
+    members = [e for e in orientations
+               if not has_cycle_dfs(nodes, e) and skeleton_and_vstructures(nodes, e) == sig]
     g = MixedGraph(sorted(nodes), "cpdag")
     for pair in sig[0]:
         a, b = sorted(pair)

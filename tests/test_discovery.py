@@ -29,8 +29,9 @@ from causalpath.independence import FisherZTest, GSquaredTest
 from causalpath.score import BicScorer, ScoreError
 from causalpath.simulate import ScmSpec, discretize, random_dag, random_scm, sample_scm
 
-from oracles import (build_dag, enumerate_dags, exhaustive_best_dag, fges_best_insert_scan,
-                     knowledge_violations, lingam_order, lingam_pairwise_scores, oracle_ci)
+from oracles import (build_dag, descendants, enumerate_dags, exhaustive_best_dag,
+                     fges_best_insert_scan, knowledge_violations, lingam_order,
+                     lingam_pairwise_scores, oracle_ci)
 
 
 class MarginalOracle:
@@ -223,9 +224,9 @@ class TestFci:
             out = fci(oracle_ci(dag))
             for a, b, ma, mb in out.edges():
                 if mb == "arrow":
-                    assert a not in dag.descendants(b)
+                    assert a not in descendants(dag, b)
                 if ma == "arrow":
-                    assert b not in dag.descendants(a)
+                    assert b not in descendants(dag, a)
 
     def test_knowledge_no_directed_violations(self):
         spec = random_scm(5, 0.5, 21)
@@ -771,6 +772,10 @@ class TestInputs:
         rec = {}
         fges(BicScorer(c, 2.0), DiscoveryConfig(penalty_discount=2.0), record=rec)
         assert rec["config"]["penalty_discount"] == 2.0
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            # nan scored nan and inf scored -inf when built directly
+            with pytest.raises(ScoreError, match="penalty_discount"):
+                BicScorer(c, bad)
 
     @pytest.mark.parametrize("field, value", [
         ("max_cond_size", -1), ("max_cond_size", 1.5), ("max_cond_size", True),

@@ -316,6 +316,38 @@ class TestCpdagOf:
             c = cpdag_of(build_dag(nodes, edges), bk, [])
             assert knowledge_violations(c, bk) == [], (edges, tiers, forbidden, required)
 
+    def test_complete_under_knowledge(self):
+        # Meek (1995): when the knowledge raises no conflict and some DAG of
+        # the class satisfies it, an edge is directed exactly when every such
+        # DAG directs it that way
+        rng = np.random.default_rng(17)
+        qualified = 0
+        for _ in range(400):
+            p = int(rng.integers(3, 7))
+            nodes, edges = random_dag_edges(p, 0.5, rng)
+            perm = [str(v) for v in rng.permutation(nodes)]
+            rank = {v: i for i, v in enumerate(perm)}
+            cut = int(rng.integers(1, p))
+            tiers = [perm[:cut], perm[cut:]] if rng.random() < 0.5 else []
+            required = [tuple(sorted(e, key=rank.get)) for e in edges if rng.random() < 0.15]
+            forbidden = [(a, b) for a in nodes for b in nodes
+                         if a != b and (a, b) not in required and rng.random() < 0.1]
+            bk = BackgroundKnowledge(tiers, forbidden, required)
+            conflicts = []
+            dag = build_dag(nodes, edges)
+            c = cpdag_of(dag, bk, conflicts)
+            members = [set(m) for m in consistent_extensions_bruteforce(cpdag_of(dag))
+                       if not any(bk.is_forbidden(a, b) for a, b in m)
+                       and all((a, b) in m for a, b in required)]
+            if conflicts or not members:
+                continue
+            qualified += 1
+            for a, b, _, _ in c.edges():
+                for u, v in ((a, b), (b, a)):
+                    assert c.is_directed(u, v) == all((u, v) in m for m in members), \
+                        (edges, tiers, forbidden, required, (u, v))
+        assert qualified >= 150
+
     def test_same_cpdag_iff_same_dsep_statements(self):
         # exhaustive over all DAGs on 3 nodes
         from oracles import all_dsep_statements
@@ -360,7 +392,7 @@ class TestConsistentExtension:
         g.add_undirected("D", "A")
         with pytest.raises(NoExtensionError) as err:
             consistent_extension(g)
-        assert err.value.node in {"A", "B", "C", "D"}
+        assert err.value.node == "A"  # the smallest node left unpeeled
 
     def test_directed_cycle_has_no_extension(self):
         g = MixedGraph(["A", "B", "C"], "cpdag")
@@ -371,24 +403,47 @@ class TestConsistentExtension:
             consistent_extension(g)
 
     def test_pdag_with_extra_directed_edges(self):
-        # CPDAGs with some undirected edges directed either way, as knowledge
-        # and FGES operators leave them: an extension exists exactly when the
-        # brute force finds one, and it is a DAG on the same skeleton that
-        # keeps every directed edge and the input's v-structures
+        # CPDAGs and bare skeletons with some undirected edges directed either
+        # way, as knowledge and FGES operators leave them: an extension exists
+        # exactly when the brute force finds one, and it is a DAG on the same
+        # skeleton that keeps every directed edge and the input's v-structures.
+        # `cpdag_of` reads the class off the PDAG itself, also under random
+        # tiers and forbidden pairs, and refuses at the node that
+        # `consistent_extension` names
         rng = np.random.default_rng(29)
-        extended = 0
-        for _ in range(150):
+        krng = np.random.default_rng(31)
+        extended = refused = 0
+        for i in range(300):
             p = int(rng.integers(3, 7))
             nodes, edges = random_dag_edges(p, 0.5, rng)
             g = cpdag_of(build_dag(nodes, edges))
+            if i % 2:  # the bare skeleton instead, for PDAGs no CPDAG leads to
+                g = MixedGraph(nodes, "cpdag")
+                for a, b in edges:
+                    g.add_undirected(a, b)
             for a, b, ma, mb in g.edges():
                 if (ma, mb) == (TAIL, TAIL) and rng.random() < 0.4:
                     g.orient(*((a, b) if rng.random() < 0.5 else (b, a)))
-            if not consistent_extensions_bruteforce(g):
-                with pytest.raises(NoExtensionError):
+            perm = [str(v) for v in krng.permutation(nodes)]
+            cut = int(krng.integers(1, p))
+            bk = BackgroundKnowledge(
+                tiers=[perm[:cut], perm[cut:]] if krng.random() < 0.5 else [],
+                forbidden=[(a, b) for a in nodes for b in nodes if a != b and krng.random() < 0.1])
+            exts = consistent_extensions_bruteforce(g)
+            if not exts:
+                with pytest.raises(NoExtensionError) as err:
                     consistent_extension(g)
+                for knowledge in (None, bk):
+                    with pytest.raises(NoExtensionError) as again:
+                        cpdag_of(g, knowledge, [])
+                    assert again.value.node == err.value.node
+                refused += 1
                 continue
+            assert cpdag_of(g) == cpdag_bruteforce(nodes, exts[0])
             ext = consistent_extension(g)
+            mine, theirs = [], []
+            assert cpdag_of(g, bk, mine) == cpdag_of(ext, bk, theirs)
+            assert mine == theirs
             extended += 1
             ext.validate()
             assert is_dag(ext)
@@ -396,7 +451,7 @@ class TestConsistentExtension:
                 {frozenset(e[:2]) for e in g.edges()}
             assert set(g.directed_edges()) <= set(ext.directed_edges())
             assert _pdag_vstructures(ext) == _pdag_vstructures(g)
-        assert extended >= 50
+        assert extended >= 200 and refused >= 20
 
 
 class TestShd:
