@@ -16,6 +16,11 @@ a kept answer always equals its recomputation. Passing one tester to both
 Fisher-z takes each partial correlation from `CorrelationMatrix` and treats
 a near-singular, indefinite or saturated block as dependent, with a note.
 P-values come straight from the `scipy.special` ufuncs `ndtr` and `chdtrc`.
+
+G^2 reads each query off cached margins: the strata of a conditioning set
+are ranked one variable at a time, each (variable, set) margin keeps its
+sum of N log N and the levels it sees per stratum, and k log k comes from a
+table over 0..n. A query then costs one `bincount` over its cells.
 """
 from __future__ import annotations
 
@@ -113,9 +118,14 @@ class FisherZTest(MemoizedTester):
 class GSquaredTest(MemoizedTester):
     """Likelihood-ratio test on contingency tables for discrete columns.
 
-    The strata of each conditioning set are computed once and kept until a
-    query asks for a set of another size, so PC-stable and FCI's skeleton,
-    which go depth by depth, hold one depth level's strata at a time.
+    G^2 = 2[sum f(N_xyz) - sum f(N_xz) - sum f(N_yz) + sum f(N_z)] over the
+    cells that occur, with f(k) = k log k read from a table over 0..n. Each
+    stratum of z adds (x levels seen - 1)(y levels seen - 1) degrees of
+    freedom. The strata of a conditioning set, and each (variable, set)
+    margin's sum f and levels seen per stratum, are computed once and kept
+    until a query asks for a set of another size, so PC-stable and FCI's
+    skeleton, which go depth by depth, hold one depth level's sets at a
+    time. A query then costs one `bincount` over the (x, y, z) cells.
     """
 
     def __init__(self, dataset, alpha=0.05):
@@ -129,38 +139,61 @@ class GSquaredTest(MemoizedTester):
         for name in self.nodes:
             uniq, self._codes[name] = np.unique(dataset.column(name), return_inverse=True)
             self._levels[name] = len(uniq)
-        self._strata: dict[tuple, tuple] = {}  # conditioning set -> (count, stratum)
+        k = np.arange(dataset.n + 1, dtype=float)
+        self._klogk = k * np.log(np.maximum(k, 1.0))
+        # conditioning set -> (count, stratum, sum f(N_z), {v: margin of v and z})
+        self._strata: dict[tuple, tuple] = {}
         self._strata_size = 0
 
     def _stratify(self, z):
-        """How many strata of z occur, and each row's stratum index."""
+        """The strata of z that occur: their count, each row's stratum index
+        (the rank of its z-tuple among those that occur, in lexicographic
+        order), sum f over the stratum sizes, and the set's margin cache.
+
+        Strata are ranked one variable at a time, so no index ever exceeds
+        (strata so far) x (levels of the next variable) <= n^2, however
+        many levels the whole set has."""
         if len(z) != self._strata_size:
             self._strata.clear()
             self._strata_size = len(z)
         key = tuple(z)
         hit = self._strata.get(key)
         if hit is None:
-            joint = (np.ravel_multi_index([self._codes[v] for v in z],
-                                          [self._levels[v] for v in z])
-                     if z else np.zeros(self.dataset.n, dtype=np.intp))
-            seen, stratum = np.unique(joint, return_inverse=True)
-            self._strata[key] = hit = (len(seen), stratum)
+            n = self.dataset.n
+            count, stratum = min(n, 1), np.zeros(n, dtype=np.intp)
+            for v in z:
+                joint = stratum * self._levels[v] + self._codes[v]
+                seen = np.bincount(joint) > 0
+                rank = np.cumsum(seen) - 1
+                count, stratum = int(np.count_nonzero(seen)), rank[joint]
+            f_z = float(self._klogk[np.bincount(stratum, minlength=count)].sum())
+            self._strata[key] = hit = (count, stratum, f_z, {})
+        return hit
+
+    def _margin(self, v, strata):
+        """Sum f over the (v, z) cells, and the levels of v seen in each
+        stratum of z minus one."""
+        count, stratum, _, margins = strata
+        hit = margins.get(v)
+        if hit is None:
+            lv = self._levels[v]
+            cells = np.bincount(stratum * lv + self._codes[v], minlength=count * lv)
+            free = (cells.reshape(count, lv) > 0).sum(axis=1) - 1
+            margins[v] = hit = (float(self._klogk[cells].sum()), free)
         return hit
 
     def _test(self, x, y, z):
-        """Sum of the per-stratum G^2 over the strata of Z that occur. Each
-        stratum adds (x levels seen - 1)(y levels seen - 1) degrees of freedom."""
-        xc, yc = self._codes[x], self._codes[y]
-        lx, ly = self._levels[x], self._levels[y]
-        strata, stratum = self._stratify(z)
-        cube = np.bincount((stratum * lx + xc) * ly + yc,
-                           minlength=strata * lx * ly).reshape(strata, lx, ly)
-        rows, cols = cube.sum(axis=2), cube.sum(axis=1)
-        expected = rows[:, :, None] * cols[:, None, :] / rows.sum(axis=1)[:, None, None]
-        obs = cube > 0
-        g2 = 2.0 * float((cube[obs] * np.log(cube[obs] / expected[obs])).sum())
-        dof = int((((rows > 0).sum(axis=1) - 1) * ((cols > 0).sum(axis=1) - 1)).sum())
+        """Sum of the per-stratum G^2 over the strata of Z that occur."""
+        strata = self._stratify(z)
+        f_xz, free_x = self._margin(x, strata)
+        f_yz, free_y = self._margin(y, strata)
+        dof = int(free_x @ free_y)
         if dof <= 0:
             return CiTestResult(0.0, 1.0, 0, True, note="degenerate")
+        _, stratum, f_z, _ = strata
+        ly = self._levels[y]
+        cells = np.bincount(stratum * (self._levels[x] * ly) + self._codes[x] * ly
+                            + self._codes[y])
+        g2 = max(0.0, 2.0 * (float(self._klogk[cells].sum()) - f_xz - f_yz + f_z))
         p = float(chdtrc(dof, g2))
         return CiTestResult(g2, p, dof, bool(p > self.alpha))

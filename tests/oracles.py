@@ -320,6 +320,41 @@ def eigh_partial_correlation(m, x, y, z=(), cond_limit=1e10):
     return float(-prec[0, 1] / np.sqrt(scale))
 
 
+# -- G^2: the contingency cube with expected counts --------------------------
+
+def unique_strata(n, codes, levels, z):
+    """The strata of z that occur among n rows and each row's stratum,
+    numbered by `np.unique` over the z-tuples' flat indices.
+    `ravel_multi_index` raises ValueError when the product of z's levels
+    overflows an index."""
+    if not z:
+        return min(n, 1), np.zeros(n, dtype=np.intp)
+    flat = np.ravel_multi_index([codes[v] for v in z], [levels[v] for v in z])
+    seen, stratum = np.unique(flat, return_inverse=True)
+    return len(seen), stratum
+
+
+def g2_oracle(data, x, y, z=()):
+    """(G^2, dof) of x and y given z from the full (stratum, x, y) cube: the
+    expected count of each cell from its stratum's margins, then
+    2 sum N log(N/E) over the cells that occur. Each stratum adds
+    (x levels seen - 1)(y levels seen - 1) degrees of freedom."""
+    codes, levels = {}, {}
+    for v in (x, y, *z):
+        uniq, codes[v] = np.unique(data.column(v), return_inverse=True)
+        levels[v] = len(uniq)
+    strata, stratum = unique_strata(data.n, codes, levels, z)
+    lx, ly = levels[x], levels[y]
+    cube = np.bincount((stratum * lx + codes[x]) * ly + codes[y],
+                       minlength=strata * lx * ly).reshape(strata, lx, ly)
+    rows, cols = cube.sum(axis=2), cube.sum(axis=1)
+    expected = rows[:, :, None] * cols[:, None, :] / rows.sum(axis=1)[:, None, None]
+    obs = cube > 0
+    g2 = 2.0 * float((cube[obs] * np.log(cube[obs] / expected[obs])).sum())
+    dof = int((((rows > 0).sum(axis=1) - 1) * ((cols > 0).sum(axis=1) - 1)).sum())
+    return g2, dof
+
+
 # -- DirectLiNGAM: the scalar pairwise measure, one pair at a time -----------
 
 def _lingam_entropy(u):

@@ -27,7 +27,13 @@ from causalpath.independence import (
 from causalpath.score import BicScorer, ScoreError
 from causalpath.simulate import discretize, random_scm, sample_scm
 
-from oracles import eigh_partial_correlation, oracle_ci, spd_correlation
+from oracles import (
+    eigh_partial_correlation,
+    g2_oracle,
+    oracle_ci,
+    spd_correlation,
+    unique_strata,
+)
 
 
 def corr_of(matrix, n=100, names=None):
@@ -388,11 +394,67 @@ class TestGSquared:
         # y is constant within each stratum of z, so no stratum has a dof
         x = np.tile([0, 1, 2], 20)
         z = np.repeat([0, 1], 30)
-        res = GSquaredTest(discrete_dataset(np.column_stack([x, z, z])))("v0", "v1", ["v2"])
+        data = discrete_dataset(np.column_stack([x, z, z]))
+        res = GSquaredTest(data)("v0", "v1", ["v2"])
         assert (res.note, res.dof_or_condsize, res.independent) == ("degenerate", 0, True)
-        empty = Dataset(discrete_dataset(np.column_stack([x, z])).schema, np.empty((0, 2)))
-        res = GSquaredTest(empty)("v0", "v1")
-        assert (res.note, res.p_value) == ("degenerate", 1.0)
+        # no rows or one row: no table has a dof, with or without z
+        for rows in (data.values[:0], data.values[:1]):
+            t = GSquaredTest(Dataset(data.schema, rows))
+            for zs in ((), ["v2"]):
+                res = t("v0", "v1", zs)
+                assert (res.note, res.dof_or_condsize, res.p_value) == ("degenerate", 0, 1.0)
+
+    def test_matches_cube_oracle_on_random_ordinal_data(self):
+        # 2-6 levels, some levels absent from some strata, |z| 0-3, n 1-300
+        rng = np.random.default_rng(47)
+        checked = 0
+        for _ in range(150):
+            n = int(rng.integers(1, 301))
+            levels = rng.integers(2, 7, 6)
+            data = rng.integers(0, levels, (n, 6))
+            data[:, 1] = (data[:, 0] + rng.integers(0, 2, n)) % levels[1]
+            for _ in range(2):
+                c, k = rng.permutation(6)[:2]
+                rows = data[:, k] == 0
+                data[rows, c] = np.minimum(data[rows, c], rng.integers(0, levels[c] - 1))
+            t = GSquaredTest(discrete_dataset(data))
+            for _ in range(4):
+                x, y, *z = rng.permutation(t.nodes)[:2 + rng.integers(0, 4)]
+                res = t(x, y, z)
+                g2, dof = g2_oracle(t.dataset, x, y, z)
+                assert res.dof_or_condsize == dof
+                assert abs(res.statistic - g2) <= 1e-9
+                if dof == 0:
+                    assert (res.note, res.p_value) == ("degenerate", 1.0)
+                else:
+                    assert res.p_value == chi2.sf(res.statistic, dof)
+                    checked += 1
+                count, stratum, *_ = t._stratify(sorted(z))
+                want_count, want = unique_strata(n, t._codes, t._levels, sorted(z))
+                assert count == want_count
+                np.testing.assert_array_equal(stratum, want)
+        assert checked >= 300
+
+    @pytest.mark.parametrize("items, levels", [(28, 6), (68, 2)])
+    def test_deep_conditioning_set(self, items, levels):
+        # 6^28 strata overflow a flat index, and 68 binary items exceed
+        # numpy's 64 dimensions; the strata that occur are few all the same
+        rng = np.random.default_rng(53)
+        pool = rng.integers(0, levels, (12, items))
+        pool[:levels] = np.arange(levels)[:, None]  # every item sees every level
+        pattern = rng.integers(0, len(pool), 300)
+        x = rng.integers(0, 3, 300)
+        y = (x + rng.integers(0, 2, 300)) % 3
+        names = ["v00", "v01", *(f"z{i:02d}" for i in range(items)), "pattern"]
+        data = discrete_dataset(np.column_stack([x, y, pool[pattern], pattern]), names)
+        t = GSquaredTest(data)
+        z = names[2:-1]
+        res = t("v00", "v01", z)
+        g2, dof = g2_oracle(data, "v00", "v01", ["pattern"])
+        assert (res.note, res.dof_or_condsize) == ("", dof)
+        assert abs(res.statistic - g2) <= 1e-9 and np.isfinite(res.p_value)
+        _, want = np.unique(pool[pattern], axis=0, return_inverse=True)
+        np.testing.assert_array_equal(t._stratify(z)[1], want.ravel())
 
     def test_pvalue_equals_scipy_stats(self):
         rng = np.random.default_rng(43)
@@ -481,3 +543,16 @@ class TestMemo:
             assert _bits(got) == _bits(getattr(self, make)()(x, y, z))
         assert t.calls == 500
         assert t.evaluations < 250
+
+    def test_g2_alternating_set_sizes_equal_fresh_tester(self):
+        # FCI's possible-d-sep phase asks sets of changing sizes, so G^2
+        # keeps dropping its strata and margins and building them again
+        t = self.g2()
+        rng = np.random.default_rng(15)
+        for i in range(200):
+            z = list(rng.permutation(t.nodes)[:(1, 3, 0, 2)[i % 4]])
+            rest = [v for v in t.nodes if v not in z]
+            for _ in range(2):
+                x, y = rng.permutation(rest)[:2]
+                assert _bits(t(x, y, z)) == _bits(self.g2()(x, y, z))
+        assert t.evaluations > 150
