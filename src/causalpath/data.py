@@ -299,14 +299,15 @@ def load_csv(path, schema):
     Columns are matched by name (order-insensitive); CSV columns absent from
     the schema are ignored with a warning, schema columns absent from the CSV
     raise. Non-numeric cells are mapped through the variable's level_labels
-    when possible and rejected otherwise.
+    when possible and rejected otherwise. A leading UTF-8 byte-order mark,
+    which spreadsheet "CSV UTF-8" exports write, is skipped.
     """
     if isinstance(schema, (str, Path)):
         schema = SchemaConfig.load(schema)
     variables = schema.variables if isinstance(schema, SchemaConfig) else list(schema)
     names = [v.name for v in variables]
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -434,12 +435,9 @@ def polychoric_matrix(d):
     if bad:
         raise DataError(f"polychoric requires binary/ordinal columns; continuous: {bad}")
     names = d.names
-    notes = []
-    for v, col in zip(d.schema, d.values.T):
-        seen = len(np.unique(col))
-        if seen < v.levels:
-            notes.append(f"{v.name}: {seen} of {v.levels} declared levels observed")
-    m, warnings = polychoric_correlations(d.values)
+    m, warnings, levels = polychoric_correlations(d.values)
+    notes = [f"{v.name}: {seen} of {v.levels} declared levels observed"
+             for v, seen in zip(d.schema, levels.tolist()) if seen < v.levels]
     notes += [f"{names[i]}-{names[j]}: {w}" for (i, j), ws in warnings.items() for w in ws]
     low = np.linalg.eigvalsh(m).min(initial=1.0)
     if low < 0.0:

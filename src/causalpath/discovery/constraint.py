@@ -1,10 +1,12 @@
 """Constraint-based search: PC-stable for a CPDAG and FCI for a PAG.
 
 Both share one skeleton phase, whose deletions within a depth level consult
-the level-start adjacency sets, so the output does not depend on variable
-order. PC orients with `graph.close_pattern`, the rule FGES uses too:
-knowledge, then the colliders the separating sets imply, then Meek closure.
-Conflicting orientations are skipped and reported in the run record.
+the level-start adjacency sets, so the skeleton does not depend on variable
+order. The separating sets, and so the colliders, still do: relabelling the
+variables changes them (ROADMAP item 3). PC orients with
+`graph.close_pattern`, the rule FGES uses too: knowledge, then the colliders
+the separating sets imply, then Meek closure. Conflicting orientations are
+skipped and reported in the run record.
 
 FCI's possible-d-separation pass then removes edges that only a non-adjacent
 conditioning set can separate. `_pattern` orients the skeleton before and

@@ -2,8 +2,9 @@
 
 All testers share one calling convention: `tester(x, y, z) -> CiTestResult`
 with `tester.nodes` listing the variables it knows about. Results are pure
-functions of the inputs, symmetric in (x, y), and therefore safe to evaluate
-concurrently.
+functions of the inputs and symmetric in (x, y). A tester instance is not
+thread-safe: each call updates its counters and its kept answers, and G^2
+also its cached strata.
 
 The built-in testers answer each distinct query once. A query is keyed on
 its unordered pair and its conditioning set, and its answer is kept on the
@@ -27,7 +28,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import chdtrc, ndtr
@@ -40,8 +41,7 @@ class IndependenceError(ValueError):
     pass
 
 
-@dataclass
-class CiTestResult:
+class CiTestResult(NamedTuple):
     statistic: float
     p_value: float
     dof_or_condsize: int
@@ -54,7 +54,7 @@ class MemoizedTester:
 
     A query is keyed on (min(x, y), max(x, y), *sorted(z)), and `_test` gets
     it in that order, so an answer does not depend on the order in which x, y
-    and z were given. Entries are plain tuples; a hit rebuilds the result.
+    and z were given. Results are immutable, so a hit returns the kept one.
     """
 
     def __init__(self, nodes, alpha):
@@ -63,7 +63,7 @@ class MemoizedTester:
         self.calls = 0
         self.evaluations = 0
         self.note_counts = Counter()  # note -> evaluated answers with it
-        self._memo: dict[tuple, tuple] = {}
+        self._memo: dict[tuple, CiTestResult] = {}
 
     def __call__(self, x, y, z=()):
         self.calls += 1
@@ -73,13 +73,12 @@ class MemoizedTester:
         key = (x, y, *z)
         hit = self._memo.get(key)
         if hit is not None:
-            return CiTestResult(*hit)
+            return hit
         self.evaluations += 1
         res = self._test(x, y, z)
         if res.note:
             self.note_counts[res.note] += 1
-        self._memo[key] = (res.statistic, res.p_value, res.dof_or_condsize,
-                           res.independent, res.note)
+        self._memo[key] = res
         return res
 
     def _test(self, x, y, z):

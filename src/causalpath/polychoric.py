@@ -10,11 +10,12 @@ Its derivative in rho is the bivariate-normal density phi2 at the corner, so
 the score and the observed information are sums over the non-empty cells.
 
 The likelihood is maximized by one safeguarded Newton iteration over all
-pairs. Every pair's finite corners are laid out flat, without padding, and
-each sweep evaluates Phi2, phi2 and d(phi2)/d(rho) at the corners of the
-pairs still active, then sums the cell terms to a score and a curvature per
-pair with `np.bincount`. That sum runs over one pair's cells in a fixed
-order, so an estimate depends on its own two columns only, bit for bit.
+pairs. Each pair owns one flat grid of its threshold corners, +-inf edges
+included, sized by its own two columns, and each sweep evaluates Phi2, phi2
+and d(phi2)/d(rho) at the finite corners of the pairs still active, then
+sums the cell terms to a score and a curvature per pair with `np.bincount`.
+That sum runs over one pair's cells in a fixed order, so an estimate
+depends on its own two columns only, bit for bit.
 Each pair starts at rho = 0 inside the bracket [-0.999, 0.999], which the
 sign of the score narrows. A Newton step is replaced by bisection when the
 curvature is not negative, when the step leaves the bracket, or when it is
@@ -69,67 +70,48 @@ def thresholds_from_counts(counts):
 
 
 class _Layout:
-    """Every fitted pair's non-empty cells and finite threshold corners,
-    flat. Corner values live in one array: the finite corners, then one
-    slot holding 0 (a -inf edge), then the margins' ndtr(threshold) (a +inf
-    edge, where Phi2 is a univariate CDF); phi2 is 0 on every edge."""
+    """Every fitted pair's (lx + 1) x (ly + 1) threshold corners as one flat
+    grid, edges included, and its non-empty cells. Cell (a, b) is kept at its
+    corner (a, b), so its four corners sit at the offsets 0, 1, ly + 1 and
+    ly + 2. Phi2 on an edge is the univariate CDF of the smaller threshold
+    (0 on a -inf edge), and phi2 is 0 there."""
 
     def __init__(self, codes, levels, thresholds, pi, pj):
-        lx, ly = levels[pi], levels[pj]
-        npair = len(pi)
-        # contingency tables, one bincount per first column
-        size = lx * ly
-        cell_off = np.concatenate(([0], np.cumsum(size)))
-        table = np.zeros(cell_off[-1], dtype=np.int64)
-        for i in np.unique(pi):
-            sel = np.flatnonzero(pi == i)
-            keys = (cell_off[sel] + codes[:, [i]] * ly[sel]) + codes[:, pj[sel]]
-            table[cell_off[sel[0]]:cell_off[sel[-1] + 1]] = np.bincount(
-                keys.ravel() - cell_off[sel[0]],
-                minlength=cell_off[sel[-1] + 1] - cell_off[sel[0]])
-        self.empty = np.bincount(np.repeat(np.arange(npair), size),
-                                 weights=table == 0, minlength=npair) > 0
-        cell = np.flatnonzero(table)
-        self.cell_pair = np.searchsorted(cell_off, cell, side="right") - 1
-        self.count = table[cell].astype(float)
-        local = cell - cell_off[self.cell_pair]
-        a = local // ly[self.cell_pair]
-        b = local % ly[self.cell_pair]
-
-        # finite corners (a, b), 1 <= a < lx, 1 <= b < ly, row-major per pair
-        nfin = (lx - 1) * (ly - 1)
-        fin_off = np.concatenate(([0], np.cumsum(nfin)))
-        self.corner_pair = np.repeat(np.arange(npair), nfin)
-        local = np.arange(fin_off[-1]) - fin_off[self.corner_pair]
+        lx, side = levels[pi], levels[pj] + 1
+        grid_off = np.concatenate(([0], np.cumsum((lx + 1) * side)))
+        pair = np.repeat(np.arange(len(pi)), np.diff(grid_off))
+        a, b = np.divmod(np.arange(grid_off[-1]) - grid_off[pair], side[pair])
         t_off = np.concatenate(([0], np.cumsum(levels + 1)))
         t_all = np.concatenate(thresholds)
-        ca = local // (ly - 1)[self.corner_pair] + 1
-        cb = local % (ly - 1)[self.corner_pair] + 1
-        self.h = t_all[t_off[pi][self.corner_pair] + ca]
-        self.k = t_all[t_off[pj][self.corner_pair] + cb]
-        zero = fin_off[-1]
-        edge = zero + 1 + t_off[:-1]  # edge[j] + t: ndtr of column j's threshold t
-        self.cdf = np.concatenate((np.zeros(zero + 1), ndtr(t_all)))
+        h, k = t_all[t_off[pi][pair] + a], t_all[t_off[pj][pair] + b]
+        self.cdf = ndtr(np.minimum(h, k))
         self.pdf = np.zeros_like(self.cdf)
         self.dpdf = np.zeros_like(self.cdf)
+        self.fin = np.flatnonzero(np.isfinite(h) & np.isfinite(k))
+        self.corner_pair, self.h, self.k = pair[self.fin], h[self.fin], k[self.fin]
 
-        def corner(da, db):
-            p, ra, rb = self.cell_pair, a + da, b + db
-            return np.where((ra == 0) | (rb == 0), zero,
-                            np.where(ra == lx[p], edge[pj[p]] + rb,
-                                     np.where(rb == ly[p], edge[pi[p]] + ra,
-                                              fin_off[p] + (ra - 1) * (ly[p] - 1) + rb - 1)))
-
+        # contingency tables, one bincount per first column; pairs come in
+        # triu order, so the pairs of one first column are contiguous
+        table = np.zeros(grid_off[-1], dtype=np.int64)
+        for i in np.unique(pi):
+            sel = np.flatnonzero(pi == i)
+            lo, hi = grid_off[sel[0]], grid_off[sel[-1] + 1]
+            keys = (grid_off[sel] - lo + codes[:, [i]] * side[sel]) + codes[:, pj[sel]]
+            table[lo:hi] = np.bincount(keys.ravel(), minlength=hi - lo)
+        q = np.flatnonzero(table)
+        self.cell_pair, self.count = pair[q], table[q].astype(float)
+        self.empty = np.bincount(self.cell_pair, minlength=len(pi)) < lx * (side - 1)
+        s = side[self.cell_pair]
         # the order of the double difference: (a+1, b+1) - (a, b+1) - (a+1, b) + (a, b)
-        self.corners = (corner(1, 1), corner(0, 1), corner(1, 0), corner(0, 0))
+        self.corners = (q + s + 1, q + 1, q + s, q)
 
     def sweep(self, rho, active):
         """Score and curvature of the log likelihood at `rho`, for the pairs
         flagged in `active`, in their order."""
         c = np.flatnonzero(active[self.corner_pair])
-        h, k, r = self.h[c], self.k[c], rho[self.corner_pair[c]]
-        self.cdf[c] = _bvn_cdf(h, k, r)
-        self.pdf[c], self.dpdf[c] = _bvn_pdf(h, k, r)
+        h, k, r, f = self.h[c], self.k[c], rho[self.corner_pair[c]], self.fin[c]
+        self.cdf[f] = _bvn_cdf(h, k, r)
+        self.pdf[f], self.dpdf[f] = _bvn_pdf(h, k, r)
         e = np.flatnonzero(active[self.cell_pair])
         q11, q01, q10, q00 = (q[e] for q in self.corners)
         prob, dprob, ddprob = (v[q11] - v[q01] - v[q10] + v[q00]
@@ -145,8 +127,9 @@ class _Layout:
 
 def polychoric_correlations(columns):
     """Two-step polychoric correlations of every column pair of an n x p
-    matrix of integer-coded ordinal samples. Returns (matrix, warnings),
-    where warnings[(i, j)] lists pair i < j's warnings (see polychoric_pair)."""
+    matrix of integer-coded ordinal samples. Returns (matrix, warnings,
+    levels), where warnings[(i, j)] lists pair i < j's warnings (see
+    polychoric_pair) and levels[j] counts the values column j shows."""
     columns = np.asarray(columns)
     p = columns.shape[1]
     codes, levels, thresholds = [], [], []
@@ -201,7 +184,7 @@ def polychoric_correlations(columns):
         logger.warning("polychoric: %s", w)
     m = np.eye(p)
     m[pi, pj] = m[pj, pi] = rho_all
-    return m, dict(zip(pairs, warnings))
+    return m, dict(zip(pairs, warnings)), levels
 
 
 def polychoric_pair(x, y):
@@ -213,5 +196,5 @@ def polychoric_pair(x, y):
     clamp boundary carry a boundary warning, and an iteration stopped by the
     sweep cap carries a no-convergence warning.
     """
-    m, warnings = polychoric_correlations(np.column_stack([np.asarray(x), np.asarray(y)]))
+    m, warnings, _ = polychoric_correlations(np.column_stack([np.asarray(x), np.asarray(y)]))
     return float(m[0, 1]), warnings[0, 1]

@@ -119,6 +119,16 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"duplicated header names: \['A', 'C'\]"):
             load_csv(f, [VariableSchema("A", "continuous"), VariableSchema("B", "continuous")])
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with the bytes EF BB BF
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(b"a,b\n1,2\n3,4\n")
+        marked.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n")
+        schema = [VariableSchema("a", "continuous"), VariableSchema("b", "continuous")]
+        d, ref = load_csv(marked, schema), load_csv(plain, schema)
+        assert d.names == ref.names
+        assert np.array_equal(d.values, ref.values)
+
 
 class TestClean:
     def test_threshold_filter(self):
@@ -294,6 +304,41 @@ class TestPolychoric:
         assert [n for n in corr.notes if not n.startswith(f"{a}-{b}:")] == [
             f"{a}: 2 of 3 declared levels observed"]
 
+    def test_corner_grid_matches_oracle(self):
+        # after one sweep at random rho, each pair's non-empty cells carry
+        # the oracle's probabilities for its own two columns, bit for bit,
+        # and `empty` flags exactly the pairs whose own table has a zero cell
+        rng = np.random.default_rng(24)
+        flagged = []
+        for _ in range(25):
+            n, p = int(rng.integers(30, 150)), int(rng.integers(2, 6))
+            cols = [rng.choice(k, size=n, p=rng.dirichlet(np.ones(k)))
+                    for k in rng.integers(2, 8, size=p)]
+            uniq = [np.unique(c, return_inverse=True, return_counts=True) for c in cols]
+            codes = np.column_stack([u[1] for u in uniq])
+            levels = np.array([len(u[0]) for u in uniq])
+            thresholds = [polychoric.thresholds_from_counts(u[2]) for u in uniq]
+            pi, pj = np.triu_indices(p, 1)
+            fit = (levels[pi] > 1) & (levels[pj] > 1)
+            pi, pj = pi[fit], pj[fit]
+            lay = polychoric._Layout(codes, levels, thresholds, pi, pj)
+            rho = rng.uniform(-0.95, 0.95, len(pi))
+            lay.sweep(rho, np.ones(len(pi), dtype=bool))
+            cdf = lay.cdf
+            q11, q01, q10, q00 = lay.corners
+            prob = cdf[q11] - cdf[q01] - cdf[q10] + cdf[q00]
+            for k, (i, j) in enumerate(zip(pi, pj)):
+                table = np.zeros((levels[i], levels[j]), dtype=int)
+                np.add.at(table, (codes[:, i], codes[:, j]), 1)
+                full = table > 0
+                mine = lay.cell_pair == k
+                expect = bvn_cell_probs(thresholds[i], thresholds[j], rho[k])[full]
+                assert (prob[mine] == expect).all()
+                assert (lay.count[mine] == table[full]).all()
+                assert lay.empty[k] == (not full.all())
+                flagged.append(lay.empty[k])
+        assert any(flagged) and not all(flagged)
+
     @pytest.mark.parametrize("levels", [2, 3, 6])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_concordant_tables_clamped(self, levels, sign):
@@ -446,8 +491,8 @@ class TestCorrelationMatrixType:
         assert full.matrix[0, 2] == pairwise.matrix[0, 1]
 
     def test_cell_order_independence_mixed_levels(self):
-        # 2-, 4- and 6-level columns: the flat, unpadded layout keeps every
-        # cell a function of its own two columns, bit for bit
+        # 2-, 4- and 6-level columns: each pair's own corner grid keeps
+        # every cell a function of its own two columns, bit for bit
         rng = np.random.default_rng(12)
         z = rng.multivariate_normal(np.zeros(6), 0.4 * np.eye(6) + 0.6, size=150)
         levels = [2, 4, 6, 2, 4, 6]
