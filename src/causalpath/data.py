@@ -293,14 +293,50 @@ class CorrelationMatrix:
         }
 
 
+def _read_labelled(cells, level_labels):
+    """Read a column cell by cell: each stripped cell is a number, else a
+    level label (its index). Returns the values and the count of labels
+    read, stopping at the first cell that is neither, so a short list marks
+    that cell. A label that reads as a number stays that number, so only
+    the other labels are looked up first, which spares one exception per
+    label cell."""
+    words = {}
+    for code, label in enumerate(level_labels):
+        try:
+            float(label)
+        except ValueError:
+            words[label] = float(code)
+    out, mapped = [], 0
+    for cell in cells:
+        cell = cell.strip()
+        code = words.get(cell)
+        if code is not None:
+            out.append(code)
+            mapped += 1
+            continue
+        try:
+            out.append(float(cell))
+        except ValueError:
+            break
+    return out, mapped
+
+
 def load_csv(path, schema):
     """Read an RFC-4180 CSV with a header row against a schema.
 
     Columns are matched by name (order-insensitive); CSV columns absent from
     the schema are ignored with a warning, schema columns absent from the CSV
-    raise. Non-numeric cells are mapped through the variable's level_labels
-    when possible and rejected otherwise. A leading UTF-8 byte-order mark,
-    which spreadsheet "CSV UTF-8" exports write, is skipped.
+    raise. A leading UTF-8 byte-order mark, which spreadsheet "CSV UTF-8"
+    exports write, is skipped, and so are blank lines (their count goes to
+    the provenance log; row numbers in errors still count them).
+
+    Conversion runs one column at a time: `float` reads a whole column, and
+    only a column it refuses is read cell by cell, with non-numeric cells
+    mapped through the variable's level_labels (the provenance log counts
+    them per column) and rejected otherwise. The first fault in row order
+    raises, the earlier schema column first within a row: a row with the
+    wrong field count raises DataError, a cell neither read nor mapped
+    UnmappableCellError.
     """
     if isinstance(schema, (str, Path)):
         schema = SchemaConfig.load(schema)
@@ -313,7 +349,7 @@ def load_csv(path, schema):
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
+        records = list(reader)
 
     header = [h.strip() for h in header]
     dup = sorted({h for h in header if header.count(h) > 1})
@@ -324,30 +360,41 @@ def load_csv(path, schema):
         raise MissingColumnError(f"{path}: columns missing from CSV: {missing}")
     extra = [h for h in header if h not in names]
     col_of = {n: header.index(n) for n in names}
-    label_maps = {
-        v.name: {lab: float(i) for i, lab in enumerate(v.level_labels)}
-        for v in variables if v.level_labels
-    }
 
-    values = np.empty((len(rows), len(names)))
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {r + 2} has {len(row)} fields, "
-                            f"expected {len(header)}")
-        for c, name in enumerate(names):
-            cell = row[col_of[name]].strip()
-            try:
-                values[r, c] = float(cell)
-            except ValueError:
-                mapped = label_maps.get(name, {}).get(cell)
-                if mapped is None:
-                    raise UnmappableCellError(
-                        f"{path}: row {r + 2}, column {name!r}: "
-                        f"unmappable value {cell!r}") from None
-                values[r, c] = mapped
+    rows = [row for row in records if row]
+    width = len(header)
+    ragged = next((r for r, row in enumerate(rows) if len(row) != width), len(rows))
+    columns = list(zip(*rows[:ragged])) or [()] * width
+    values = np.empty((ragged, len(names)))
+    fault = (ragged, len(names))  # (row, schema column); column p: the ragged row
+    mapped = {}
+    for c, v in enumerate(variables):
+        cells = columns[col_of[v.name]]
+        try:
+            values[:, c] = np.fromiter(map(float, cells), float, ragged)
+        except ValueError:
+            out, mapped[v.name] = _read_labelled(cells, v.level_labels or ())
+            if len(out) < ragged:
+                fault = min(fault, (len(out), c))
+            else:
+                values[:, c] = out
+
+    r, c = fault
+    if r < len(rows):
+        line = [k for k, row in enumerate(records, 2) if row][r]
+        if c < len(names):
+            cell = columns[col_of[names[c]]][r].strip()
+            raise UnmappableCellError(f"{path}: row {line}, column {names[c]!r}: "
+                                      f"unmappable value {cell!r}")
+        raise DataError(f"{path}: row {line} has {len(rows[r])} fields, "
+                        f"expected {width}")
 
     d = Dataset(list(variables), values)
     d.log(f"loaded {d.n} rows x {d.p} columns from {path}")
+    if len(rows) < len(records):
+        d.log(f"blank lines skipped: {len(records) - len(rows)}")
+    for name, count in mapped.items():
+        d.log(f"{name}: {count:,} cells mapped through level labels")
     if extra:
         d.log(f"ignored columns not in schema: {sorted(extra)}")
         logger.warning("ignored CSV columns not in schema: %s", sorted(extra))

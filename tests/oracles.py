@@ -8,6 +8,7 @@ cross-checks it against the path enumeration here.
 """
 from __future__ import annotations
 
+import csv
 import logging
 from itertools import combinations, product
 
@@ -15,6 +16,7 @@ import networkx as nx
 import numpy as np
 from scipy.special import ndtr
 
+from causalpath.data import DataError, Dataset, MissingColumnError, UnmappableCellError
 from causalpath.discovery.ges import _better, _is_clique, _semidirected_reachable, _subsets
 from causalpath.graph import ARROW, TAIL, MixedGraph
 from causalpath.independence import CiTestResult
@@ -516,3 +518,56 @@ def polychoric_oracle(x, y):
                           options={"xatol": 1e-12})
     best = float(res.x) if -res.fun >= values[i] else float(grid[i])
     return best, loglik
+
+
+def load_csv_oracle(path, variables):
+    """`load_csv` as a per-cell loop: every row is checked for its field
+    count and every schema cell is stripped, read by `float` or else through
+    the level-label map, in row order. Blank lines are not skipped, and the
+    provenance holds only the load and ignored-column lines."""
+    names = [v.name for v in variables]
+
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        rows = list(reader)
+
+    header = [h.strip() for h in header]
+    dup = sorted({h for h in header if header.count(h) > 1})
+    if dup:
+        raise DataError(f"{path}: duplicated header names: {dup}")
+    missing = [n for n in names if n not in header]
+    if missing:
+        raise MissingColumnError(f"{path}: columns missing from CSV: {missing}")
+    extra = [h for h in header if h not in names]
+    col_of = {n: header.index(n) for n in names}
+    label_maps = {
+        v.name: {lab: float(i) for i, lab in enumerate(v.level_labels)}
+        for v in variables if v.level_labels
+    }
+
+    values = np.empty((len(rows), len(names)))
+    for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {r + 2} has {len(row)} fields, "
+                            f"expected {len(header)}")
+        for c, name in enumerate(names):
+            cell = row[col_of[name]].strip()
+            try:
+                values[r, c] = float(cell)
+            except ValueError:
+                mapped = label_maps.get(name, {}).get(cell)
+                if mapped is None:
+                    raise UnmappableCellError(
+                        f"{path}: row {r + 2}, column {name!r}: "
+                        f"unmappable value {cell!r}") from None
+                values[r, c] = mapped
+
+    d = Dataset(list(variables), values)
+    d.log(f"loaded {d.n} rows x {d.p} columns from {path}")
+    if extra:
+        d.log(f"ignored columns not in schema: {sorted(extra)}")
+    return d

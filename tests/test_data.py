@@ -1,3 +1,4 @@
+import csv
 import logging
 import re
 import subprocess
@@ -26,7 +27,7 @@ from causalpath.data import (
 from causalpath.polychoric import polychoric_pair
 from causalpath.simulate import discretize, random_scm, sample_scm
 
-from oracles import bvn_cell_probs, polychoric_oracle
+from oracles import bvn_cell_probs, load_csv_oracle, polychoric_oracle
 
 
 def make_dataset(values, kinds=None, names=None):
@@ -41,6 +42,66 @@ def make_dataset(values, kinds=None, names=None):
             levels = 2
         schema.append(VariableSchema(name, kind, levels=levels))
     return Dataset(schema, values)
+
+
+_LABEL_SETS = (["male", "female"], ["low", "mid, high", "n/a"], ["yes", "3", "no"])
+
+
+def _number_text(rng):
+    x = float(rng.normal() * 10.0 ** rng.integers(-3, 4))
+    text = [str(int(x)), repr(x), f"{x:.4e}", f"{x:E}", "+7", ".5", "1_000"][rng.integers(7)]
+    pad = ["", "", " ", "\t", "  "]
+    return pad[rng.integers(5)] + text + pad[rng.integers(5)]
+
+
+def _random_csv(rng, path, case):
+    """Write a small random CSV; returns its schema and which fault comes
+    first when it holds both a ragged row and an unmappable cell (else None).
+
+    Cells are integers, repr floats and exponent forms, padded with spaces
+    or tabs; label columns mix codes with (quoted, padded) labels; extra
+    columns hold quoted commas. Case 0-1: clean (0-6 rows), 2: one
+    unmappable cell or two, 3: a ragged row before an unmappable cell, 4:
+    the reverse (each maybe with a second unmappable cell anywhere)."""
+    schema, cells = [], {}
+    n = int(rng.integers(0, 7)) if case < 2 else int(rng.integers(3, 8))
+    for j in range(int(rng.integers(1, 4))):
+        labels = _LABEL_SETS[rng.integers(3)] if rng.random() < 0.5 else None
+        if labels:
+            schema.append(VariableSchema(f"v{j}", "ordinal", levels=len(labels),
+                                         level_labels=labels))
+            col = [_number_text(rng) if rng.random() < 0.4 else
+                   " " * int(rng.integers(2)) + labels[rng.integers(len(labels))]
+                   for _ in range(n)]
+        else:
+            schema.append(VariableSchema(f"v{j}", "continuous"))
+            col = [_number_text(rng) for _ in range(n)]
+        cells[f"v{j}"] = col
+    for j in range(int(rng.integers(0, 3))):
+        cells[f"x{j}"] = [["a,b", 'say "hi"', "7", ""][rng.integers(4)] for _ in range(n)]
+    header = list(rng.permutation(list(cells)))
+    rows = [[cells[h][r] for h in header] for r in range(n)]
+
+    faults = None
+    if case >= 2:
+        bad_row, ragged_row = sorted(rng.choice(n, 2, replace=False))
+        if case == 3:
+            bad_row, ragged_row = ragged_row, bad_row
+        for r in [bad_row] + list(rng.choice(n, int(rng.integers(2)))):
+            rows[r][header.index(f"v{rng.integers(len(schema))}")] = \
+                ["oops", "", " female?", "1..2"][rng.integers(4)]
+        if case > 2:
+            row = rows[ragged_row]
+            if len(row) > 1 and rng.random() < 0.5:
+                row.pop()
+            else:
+                row.append("9")
+            faults = "ragged first" if case == 3 else "cell first"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return schema, faults
 
 
 class TestSchema:
@@ -128,6 +189,102 @@ class TestLoadCsv:
         d, ref = load_csv(marked, schema), load_csv(plain, schema)
         assert d.names == ref.names
         assert np.array_equal(d.values, ref.values)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        # csv.reader gives [] for a blank line; a trailing one is common
+        f = tmp_path / "d.csv"
+        f.write_text("a,b\n\n1,2\n\n\n3,4\n\n")
+        d = load_csv(f, [VariableSchema("a", "continuous"), VariableSchema("b", "continuous")])
+        assert d.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert "blank lines skipped: 4" in d.provenance
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("a,b\n1,2\n\n3\n", DataError, "row 4 has 1 fields, expected 2"),
+        ("a,b\n\n1,2\n\n3,x\n", UnmappableCellError, "row 5, column 'b': unmappable value 'x'"),
+    ], ids=["ragged", "unmappable"])
+    def test_error_rows_count_blank_lines(self, tmp_path, text, error, message):
+        # the row number in a message is the record's place in the file
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        with pytest.raises(error, match=re.escape(message)):
+            load_csv(f, [VariableSchema("a", "continuous"), VariableSchema("b", "continuous")])
+
+    def test_label_count_in_provenance(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("sex,age\n" + "male,30\n1,40\n-9,50\n" * 500)
+        schema = [VariableSchema("sex", "binary", levels=2, level_labels=["male", "female"]),
+                  VariableSchema("age", "continuous")]
+        d = load_csv(f, schema)
+        assert d.column("sex")[:3].tolist() == [0.0, 1.0, -9.0]
+        assert d.provenance[1:] == ["sex: 500 cells mapped through level labels"]
+        f.write_text("sex,age\n" + "female,30\n" * 1500)
+        assert load_csv(f, schema).provenance[1:] == ["sex: 1,500 cells mapped through level labels"]
+        f.write_text("sex,age\n0,30\n1,40\n")  # a labelled column given as codes
+        assert len(load_csv(f, schema).provenance) == 1
+
+    def test_label_that_reads_as_number(self, tmp_path):
+        # a cell float reads is a number even when it is also a label
+        f = tmp_path / "d.csv"
+        f.write_text("q\n3\nyes\n no \n")
+        d = load_csv(f, [VariableSchema("q", "ordinal", levels=3,
+                                        level_labels=["yes", "3", "no"])])
+        assert d.column("q").tolist() == [3.0, 0.0, 2.0]
+        assert d.provenance[1:] == ["q: 2 cells mapped through level labels"]
+
+    @pytest.mark.parametrize("rows, message", [
+        # the first fault in row order wins, whichever kind it is
+        (["1,2", "3", "x,4"], "row 3 has 1 fields"),
+        (["1,2", "x,4", "3"], "row 3, column 'a': unmappable value 'x'"),
+        (["1,2", "x,4", "3,y"], "row 3, column 'a': unmappable value 'x'"),
+        # within a row, the earlier schema column wins, not the earlier field
+        (["1,2", "x,y"], "row 3, column 'b': unmappable value 'y'"),
+        # a ragged row is refused before its cells are read
+        (["1,2", "x,4,5"], "row 3 has 3 fields"),
+    ], ids=["ragged-first", "cell-first", "earlier-row-later-column", "schema-order-in-row",
+            "ragged-row-cells-unread"])
+    def test_first_fault_wins(self, tmp_path, rows, message):
+        f = tmp_path / "d.csv"
+        f.write_text("\n".join(["a,b"] + rows) + "\n")
+        schema = [VariableSchema("b", "continuous"), VariableSchema("a", "continuous")]
+        outcomes = []
+        for load in (load_csv, load_csv_oracle):
+            with pytest.raises(DataError) as err:
+                load(f, schema)
+            outcomes.append((type(err.value), str(err.value)))
+        assert outcomes[0] == outcomes[1]
+        assert message in outcomes[0][1]
+
+    def test_matches_cell_oracle(self, tmp_path):
+        # column-wise conversion against the per-cell loop of the oracle:
+        # bitwise-equal values, or the same exception and message
+        rng = np.random.default_rng(2024)
+        seen = {"ok": 0, "empty": 0, "labels": 0, UnmappableCellError: 0, DataError: 0,
+                "ragged first": 0, "cell first": 0}
+        for i in range(200):
+            path = tmp_path / f"r{i}.csv"
+            schema, faults = _random_csv(rng, path, case=i % 5)
+            outcomes, provenance = [], []
+            for load in (load_csv, load_csv_oracle):
+                try:
+                    d = load(path, schema)
+                except DataError as err:
+                    outcomes.append((type(err), str(err)))
+                else:
+                    outcomes.append((d.values.shape, d.values.tobytes()))
+                    provenance.append(d.provenance)
+            assert outcomes[0] == outcomes[1], path.read_text()
+            kind = outcomes[0][0]
+            if isinstance(kind, tuple):
+                labelled = [s for s in provenance[0] if "level labels" in s]
+                assert [s for s in provenance[0] if s not in labelled] == provenance[1]
+                seen["ok"] += 1
+                seen["empty"] += kind[0] == 0
+                seen["labels"] += len(labelled) > 0
+            else:
+                seen[kind] += 1
+            if faults:
+                seen[faults] += 1
+        assert min(seen.values()) >= 10, seen
 
 
 class TestClean:

@@ -1,5 +1,10 @@
 import importlib
+import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import numpy as np
@@ -818,3 +823,43 @@ class TestRunDiscovery:
             assert knowledge_violations(g, bk) == [], name
             for t in names[4:]:
                 assert not g.children(t), (name, t)
+
+
+_RECORDS_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from causalpath.data import polychoric_matrix
+from causalpath.discovery import DiscoveryConfig, direct_lingam, fci, fges, pc
+from causalpath.graph import BackgroundKnowledge
+from causalpath.simulate import discretize, random_scm, sample_scm
+
+d = sample_scm(random_scm(8, 0.4, 17, noise="uniform"), 600)
+survey = discretize(d, {v: [-0.5, 0.0, 0.6] for v in d.names})
+names = sorted(survey.names)
+bk = BackgroundKnowledge(tiers=[names[:3], names[3:6], names[6:]])
+cfg = DiscoveryConfig(max_cond_size=3)
+corr = polychoric_matrix(survey)
+records = {}
+for name, run, source in (("pc", pc, corr), ("fci", fci, corr), ("fges", fges, corr),
+                          ("lingam", direct_lingam, survey)):
+    records[name] = {}
+    run(source, cfg, bk, records[name])
+    del records[name]["wall_time_ms"]
+print(json.dumps(records, sort_keys=True))
+"""
+
+
+def test_records_independent_of_hash_seed():
+    # set and dict orders over variable names change with PYTHONHASHSEED;
+    # the graphs and records (wall time aside) must not
+    src = str(Path(causalpath.data.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        run = subprocess.run([sys.executable, "-c", _RECORDS_SCRIPT, src], env=env,
+                             capture_output=True, text=True, check=True)
+        outs.append(run.stdout)
+    records = json.loads(outs[0])
+    assert sorted(records) == ["fci", "fges", "lingam", "pc"]
+    assert all(r["n_edges"] > 0 for r in records.values())
+    assert outs[0] == outs[1]
